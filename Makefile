@@ -1,7 +1,8 @@
-.PHONY: all build test crashtest servetest servesmoke obstest obssmoke obsbench obsgate histtest histbench netbench netsmoke repltest replbench replsmoke plannertest plannerbench txntest txnbench pooltest poolbench viewtest viewbench viewsmoke bench benchsmoke reports timings examples doc clean loc
+.PHONY: all build test test-force crashtest servesmoke obssmoke obsbench obsgate histbench netbench netsmoke replbench replsmoke plannerbench txnbench poolbench viewbench viewsmoke bench benchsmoke reports timings examples doc clean loc
 
-# Fixed seed so a failing matrix cell reproduces byte-for-byte;
-# override with CRASH_SEED=n make crashtest.
+# Every suite (Slow cases included) runs under `make test`. crashtest
+# reruns the crash matrix alone, with a fixed seed so a failing cell
+# reproduces byte-for-byte; override with CRASH_SEED=n make crashtest.
 CRASH_SEED ?= 42
 
 all: build
@@ -18,23 +19,12 @@ test-force:
 crashtest:
 	CRASH_SEED=$(CRASH_SEED) dune exec test/test_crash.exe
 
-# The nf2d server: protocol fuzz + session robustness, the
-# 32-connection soak, and the CLI batch-mode exit-status regressions.
-servetest:
-	dune exec test/test_server.exe
-	ALCOTEST_SLOW=1 dune exec test/test_netsoak.exe
-	dune exec test/test_cli.exe
-
 # End-to-end smoke over a real serve/connect pair on loopback.
 servesmoke: build
 	scripts/server_smoke.sh
 
-# Observability: registry/span property tests, the end-to-end
-# Prometheus scrape smoke, and the tracing-overhead bench
-# (writes BENCH_obs.json).
-obstest:
-	dune exec test/test_obs.exe
-
+# Observability: the end-to-end Prometheus scrape smoke and the
+# tracing-overhead bench (writes BENCH_obs.json).
 obssmoke: build
 	scripts/obs_smoke.sh
 
@@ -46,12 +36,8 @@ obsbench:
 obsgate:
 	dune exec bench/main.exe -- obsgate
 
-# Metrics history: downsampling cascade + system tables + stall
-# watchdog tests, and the self-monitoring cost bench
+# Metrics history: the self-monitoring cost bench
 # (writes BENCH_hist.json).
-histtest:
-	dune exec test/test_history.exe
-
 histbench:
 	dune exec bench/main.exe -- hist
 
@@ -60,14 +46,6 @@ netbench:
 
 netsmoke:
 	dune exec bench/main.exe -- netsmoke
-
-# Replication: the in-process bootstrap/catch-up/victim-kill/promotion
-# suite, the global-commit-manifest crash matrix, and the 3-node soak
-# that asserts byte-identical replicas after the drain.
-repltest:
-	dune exec test/test_repl.exe
-	CRASH_SEED=$(CRASH_SEED) dune exec test/test_crash.exe -- test manifest
-	ALCOTEST_SLOW=1 dune exec test/test_netsoak.exe
 
 # Replication bench: primary throughput alone vs with a live replica,
 # drain time and steady-state lag (writes BENCH_repl.json). replsmoke
@@ -78,48 +56,20 @@ replbench:
 replsmoke:
 	dune exec bench/main.exe -- replsmoke
 
-# Cost-based planner: ANALYZE statistics, plan-cache behaviour and the
-# access-path regressions.
-plannertest:
-	dune exec test/test_planner.exe
-
 # Planner micro-bench: plan-cache speedup and estimation error on a
 # Zipf-skewed table (writes BENCH_planner.json).
 plannerbench:
 	dune exec bench/main.exe -- planner
-
-# Transactions: torn-transaction crash matrix + byte-identical
-# rollback, concurrent-session isolation/conflict tests, differential
-# BEGIN/COMMIT/ROLLBACK coverage, CLI --txn exit codes, and the
-# committed-writes-only planner regressions.
-txntest:
-	CRASH_SEED=$(CRASH_SEED) dune exec test/test_crash.exe -- test txn
-	dune exec test/test_server.exe -- test txn
-	dune exec test/test_physical.exe -- test differential
-	dune exec test/test_cli.exe -- test txn
-	dune exec test/test_planner.exe -- test cache
 
 # Transaction micro-bench: autocommit vs batched-transaction write
 # throughput and abort overhead (writes BENCH_txn.json).
 txnbench:
 	dune exec bench/main.exe -- txn
 
-# Buffer pool: LRU/ledger property tests, the heap integration
-# invariants, and the planner's cold-scan -> cached-probe flip.
-pooltest:
-	dune exec test/test_pool.exe
-
 # Buffer-pool micro-bench: Zipf hit rate, scan throughput, and the
 # repeated-probe plan flip (writes BENCH_pool.json).
 poolbench:
 	dune exec bench/main.exe -- pool
-
-# Incremental views + CDC: grammar/semantics on both back ends, the
-# incremental==renest property, definition-WAL durability, the forked
-# two-subscriber CDC stream test, and the maintenance crash windows.
-viewtest:
-	ALCOTEST_SLOW=1 dune exec test/test_views.exe
-	CRASH_SEED=$(CRASH_SEED) dune exec test/test_crash.exe -- test views
 
 # View-maintenance bench: per-insert incremental cost vs full renest
 # across 10^4..10^6 base rows (writes BENCH_views.json). viewsmoke is

@@ -1,9 +1,10 @@
-(** Shared compilation helpers for NFQL back ends.
+(** Expression-level helpers shared by the NFQL back ends.
 
     Both evaluators — {!Eval} (in-memory canonical NFRs) and
-    {!Physical} (storage-engine tables) — resolve names, convert
+    {!Physical} (storage-engine tables) — resolve columns, convert
     literals, split WHERE clauses and shape SELECT results the same
-    way; this module is that common ground. *)
+    way; this module is that common ground. The statement level is
+    {!Stmt}. *)
 
 open Relational
 open Nfr_core

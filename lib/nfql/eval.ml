@@ -31,7 +31,7 @@ type db = {
   sys : Systab.registry;
 }
 
-type result =
+type result = Stmt.result =
   | Done of string
   | Rows of Nfr.t
 
@@ -45,39 +45,21 @@ let create () =
   }
 
 let register_system_table db name provider = Systab.register db.sys name provider
-let system_table_names db = Systab.names db.sys
-let is_system db name = Systab.find db.sys name <> None
 
 let in_txn db = db.txn_saved <> None
 let catalog db = db.views
-let is_view db name = Views.Catalog.mem db.views name
+
+let names db =
+  {
+    Stmt.is_table = (fun name -> String_map.mem name db.tables);
+    views = db.views;
+    sys = db.sys;
+  }
 
 let find_table db name =
   match String_map.find_opt name db.tables with
   | Some state -> state
   | None -> error "unknown table %s" name
-
-(* Reads treat a view or a system table as a table: resolve the name
-   against base tables first, then the materialized view catalog, then
-   the system-table providers. *)
-let find_readable db name =
-  match String_map.find_opt name db.tables with
-  | Some state -> (state.nfr, state.order)
-  | None ->
-    if is_view db name then
-      (Views.Catalog.snapshot db.views name, Views.Catalog.order db.views name)
-    else (
-      match Systab.find db.sys name with
-      | Some provider ->
-        let order, nfr = provider () in
-        (nfr, order)
-      | None -> error "unknown table %s" name)
-
-(* The typed write guard: DML must name a base table, never a view or
-   a system table. *)
-let require_writable db name =
-  if is_view db name then error "%s is a view: views are read-only" name;
-  if is_system db name then error "%s" (Systab.read_only_error name)
 
 let apply_committed db base ops =
   ignore
@@ -112,198 +94,10 @@ let flush_pending db =
            pending))
     bases
 
-let value_of_literal = Compile.value_of_literal
-let attribute_of = Compile.attribute_of
-
-
-let split_condition = Compile.split_condition
-
-let type_of_name name =
-  match Value.ty_of_name (String.lowercase_ascii name) with
-  | Some ty -> ty
-  | None -> error "unknown type %s" name
-
-let tuple_of_row schema row =
-  if List.length row <> Schema.degree schema then
-    error "expected %d values, got %d" (Schema.degree schema) (List.length row);
-  match Tuple.make schema (List.map value_of_literal row) with
-  | tuple -> tuple
-  | exception Schema.Schema_error msg -> error "%s" msg
-
-let require_no_txn db what =
-  if db.txn_saved <> None then error "%s is not allowed inside a transaction" what
-
-let exec_create db table columns order =
-  require_no_txn db "CREATE TABLE";
-  if Systab.is_system_name table then error "%s" (Systab.reserved_error table);
-  if String_map.mem table db.tables then error "table %s already exists" table;
-  if is_view db table then error "view %s already exists" table;
-  let schema =
-    match Schema.of_names (List.map (fun (name, ty) -> (name, type_of_name ty)) columns) with
-    | schema -> schema
-    | exception Schema.Schema_error msg -> error "%s" msg
-  in
-  let order_attrs =
-    match order with
-    | None -> Schema.attributes schema
-    | Some names ->
-      let attrs = List.map (attribute_of schema) names in
-      (match Nest.check_permutation schema attrs with
-      | () -> attrs
-      | exception Invalid_argument msg -> error "%s" msg)
-  in
-  db.tables <-
-    String_map.add table { nfr = Nfr.empty schema; order = order_attrs } db.tables;
-  Done (Printf.sprintf "table %s created" table)
-
-let exec_insert db table rows =
-  require_writable db table;
-  let state = find_table db table in
-  let schema = Nfr.schema state.nfr in
-  let inserted, skipped, ops =
-    List.fold_left
-      (fun (nfr, skipped, ops) row ->
-        let tuple = tuple_of_row schema row in
-        if Nfr.member_tuple nfr tuple then (nfr, skipped + 1, ops)
-        else
-          ( Update.insert ~order:state.order nfr tuple,
-            skipped,
-            Views.Catalog.Ins tuple :: ops ))
-      (state.nfr, 0, []) rows
-  in
-  db.tables <- String_map.add table { state with nfr = inserted } db.tables;
-  note_dml db table (List.rev ops);
-  Done
-    (Printf.sprintf "%d row(s) inserted%s" (List.length rows - skipped)
-       (if skipped > 0 then Printf.sprintf ", %d duplicate(s) skipped" skipped
-        else ""))
-
-let exec_delete_values db table row =
-  require_writable db table;
-  let state = find_table db table in
-  let schema = Nfr.schema state.nfr in
-  let tuple = tuple_of_row schema row in
-  match Update.delete ~order:state.order state.nfr tuple with
-  | nfr ->
-    db.tables <- String_map.add table { state with nfr } db.tables;
-    note_dml db table [ Views.Catalog.Del tuple ];
-    Done "1 row deleted"
-  | exception Update.Not_in_relation ->
-    error "tuple %s is not in %s" (Format.asprintf "%a" Tuple.pp tuple) table
-
-let matching_tuples schema nfr condition =
-  let predicates, contains = split_condition schema condition in
-  let restricted =
-    List.fold_left
-      (fun nfr (attribute, value) -> Nalgebra.select_contains attribute value nfr)
-      nfr contains
-  in
-  let flat = Nfr.flatten restricted in
-  List.fold_left
-    (fun flat predicate ->
-      match Algebra.select predicate flat with
-      | selected -> selected
-      | exception Algebra.Algebra_error msg -> error "%s" msg)
-    flat predicates
-
-let exec_delete_where db table condition =
-  require_writable db table;
-  let state = find_table db table in
-  let schema = Nfr.schema state.nfr in
-  let victims = Relation.tuples (matching_tuples schema state.nfr condition) in
-  let nfr =
-    List.fold_left
-      (fun nfr tuple -> Update.delete ~order:state.order nfr tuple)
-      state.nfr victims
-  in
-  db.tables <- String_map.add table { state with nfr } db.tables;
-  note_dml db table (List.map (fun t -> Views.Catalog.Del t) victims);
-  Done (Printf.sprintf "%d row(s) deleted" (List.length victims))
-
-(* Resolve a FROM clause to an NFR plus a canonical order for it. A
-   join is computed directly on the NFRs (pairwise component
-   intersection) and re-canonicalized so the WHERE machinery's
-   canonicity assumption holds. *)
-let resolve_source db = function
-  | Ast.From_table name -> find_readable db name
-  | Ast.From_join (left_name, right_name) ->
-    if is_view db left_name || is_view db right_name then
-      error "views cannot appear in JOIN";
-    if is_system db left_name || is_system db right_name then
-      error "system tables cannot appear in JOIN";
-    let left = find_table db left_name in
-    let right = find_table db right_name in
-    let joined =
-      match Nalgebra.natural_join left.nfr right.nfr with
-      | joined -> joined
-      | exception Schema.Schema_error msg -> error "%s" msg
-    in
-    let order = Schema.attributes (Nfr.schema joined) in
-    (Nest.canonicalize joined order, order)
-
-let apply_where = Compile.apply_where
-
-let exec_select db (s : Ast.select) =
-  let source, order = resolve_source db s.source in
-  let schema = Nfr.schema source in
-  let filtered = apply_where schema order source s.where in
-  Rows (Compile.shape_select filtered ~order s)
-
-let exec_select_count db source condition =
-  let nfr, order = resolve_source db source in
-  let filtered = apply_where (Nfr.schema nfr) order nfr condition in
-  Done
-    (Printf.sprintf "%d fact(s) in %d NFR tuple(s)"
-       (Nfr.expansion_size filtered) (Nfr.cardinality filtered))
-
-let exec_update_set db table assignments condition =
-  require_writable db table;
-  let state = find_table db table in
-  let schema = Nfr.schema state.nfr in
-  let resolved =
-    List.map
-      (fun (name, literal) ->
-        let attribute = attribute_of schema name in
-        let value = value_of_literal literal in
-        let expected = Schema.type_of_attribute schema attribute in
-        if Value.type_of value <> expected then
-          error "column %s expects %s" name (Value.ty_name expected);
-        (attribute, value))
-      assignments
-  in
-  let victims = Relation.tuples (matching_tuples schema state.nfr condition) in
-  let updated_tuples =
-    List.map
-      (fun tuple ->
-        List.fold_left
-          (fun tuple (attribute, value) ->
-            Tuple.set_field schema tuple attribute value)
-          tuple resolved)
-      victims
-  in
-  (* Delete every victim first, then insert the images (set semantics
-     deduplicates images that collide with surviving tuples). *)
-  let without =
-    List.fold_left
-      (fun nfr tuple -> Update.delete ~order:state.order nfr tuple)
-      state.nfr victims
-  in
-  let final =
-    List.fold_left
-      (fun nfr tuple -> Update.insert ~order:state.order nfr tuple)
-      without updated_tuples
-  in
-  db.tables <- String_map.add table { state with nfr = final } db.tables;
-  (* Views see only the net writes: identity images are no-ops. *)
-  let changed =
-    List.filter
-      (fun (victim, image) -> not (Tuple.equal victim image))
-      (List.combine victims updated_tuples)
-  in
-  note_dml db table
-    (List.map (fun (victim, _) -> Views.Catalog.Del victim) changed
-    @ List.map (fun (_, image) -> Views.Catalog.Ins image) changed);
-  Done (Printf.sprintf "%d row(s) updated" (List.length victims))
+let resolve_source db =
+  Stmt.resolve_source (names db) ~base:(fun name ->
+      let state = find_table db name in
+      (state.nfr, state.order))
 
 let exec_explain db (s : Ast.select) =
   let source, order = resolve_source db s.source in
@@ -321,7 +115,7 @@ let exec_explain db (s : Ast.select) =
   (match s.where with
   | None -> ()
   | Some condition ->
-    let predicates, contains = split_condition schema condition in
+    let predicates, contains = Compile.split_condition schema condition in
     List.iter
       (fun (attribute, value) ->
         line "  contains-filter %s ∋ %s (tuple-level, no expansion)"
@@ -341,150 +135,71 @@ let exec_explain db (s : Ast.select) =
   | Some names -> line "  project %s (re-canonicalized)" (String.concat "," names));
   List.iter (fun name -> line "  nest %s" name) s.nests;
   List.iter (fun name -> line "  unnest %s" name) s.unnests;
-  Done (String.trim (Buffer.contents buffer))
-
-(* TRACE surface: one row per span of the statement's trace, in ring
-   order (parents before children) so clients can rebuild the tree. *)
-let trace_schema =
-  Schema.of_names
-    [
-      ("Span", Value.Tint);
-      ("Parent", Value.Tint);
-      ("Event", Value.Tstring);
-      ("Label", Value.Tstring);
-      ("Ms", Value.Tfloat);
-      ("Rows", Value.Tint);
-      ("Bytes", Value.Tint);
-    ]
-
-let rows_of_spans spans =
-  List.fold_left
-    (fun acc (sp : Obs.Span.t) ->
-      let cells =
-        [|
-          Vset.singleton (Value.of_int sp.Obs.Span.id);
-          Vset.singleton (Value.of_int sp.Obs.Span.parent);
-          Vset.singleton (Value.of_string (Obs.Span.event_name sp.Obs.Span.event));
-          Vset.singleton (Value.of_string sp.Obs.Span.label);
-          Vset.singleton (Value.of_float (Obs.Span.busy sp *. 1000.));
-          Vset.singleton (Value.of_int sp.Obs.Span.rows);
-          Vset.singleton (Value.of_int sp.Obs.Span.bytes);
-        |]
-      in
-      Nfr.add acc (Ntuple.of_sets_unchecked cells))
-    (Nfr.empty trace_schema) spans
+  String.trim (Buffer.contents buffer)
 
 let rec exec db statement =
+  let names = names db in
+  Stmt.check_txn ~in_txn:(in_txn db) statement;
   match statement with
-  | Ast.Create (table, columns, order) -> exec_create db table columns order
+  | Ast.Create (table, columns, order) ->
+    let schema, order = Stmt.schema_of_columns columns order in
+    Stmt.check_new_name names table;
+    db.tables <- String_map.add table { nfr = Nfr.empty schema; order } db.tables;
+    Stmt.ack statement
   | Ast.Drop table ->
-    require_no_txn db "DROP TABLE";
-    if is_system db table then error "%s" (Systab.read_only_error table);
-    if is_view db table then error "%s is a view: use DROP VIEW" table;
-    if String_map.mem table db.tables then begin
-      (match Views.Catalog.dependents db.views ~base:table with
-      | [] -> ()
-      | deps ->
-        error "cannot drop table %s: view %s depends on it" table
-          (String.concat ", " deps));
-      db.tables <- String_map.remove table db.tables;
-      Done (Printf.sprintf "table %s dropped" table)
-    end
-    else error "unknown table %s" table
-  | Ast.Create_view (view, base, by) -> (
-    require_no_txn db "CREATE VIEW";
-    if Systab.is_system_name view then error "%s" (Systab.reserved_error view);
-    if String_map.mem view db.tables then error "table %s already exists" view;
-    if is_view db base then
-      error "%s is a view: views must be defined over base tables" base;
-    if is_system db base then
-      error "%s is a system table: views must be defined over base tables" base;
-    let state = find_table db base in
-    match Views.Catalog.define db.views ~view ~base ~by state.nfr with
-    | () -> Done (Printf.sprintf "view %s created" view)
-    | exception Views.Catalog.View_error msg -> error "%s" msg)
-  | Ast.Drop_view view -> (
-    require_no_txn db "DROP VIEW";
-    match Views.Catalog.drop db.views view with
-    | () -> Done (Printf.sprintf "view %s dropped" view)
-    | exception Views.Catalog.View_error msg -> error "%s" msg)
-  | Ast.Insert (table, rows) -> exec_insert db table rows
-  | Ast.Delete_values (table, row) -> exec_delete_values db table row
-  | Ast.Delete_where (table, condition) -> exec_delete_where db table condition
-  | Ast.Update_set (table, assignments, condition) ->
-    exec_update_set db table assignments condition
-  | Ast.Select s -> exec_select db s
-  | Ast.Select_count (source, condition) -> exec_select_count db source condition
-  | Ast.Explain s -> exec_explain db s
+    Stmt.check_drop_table names table;
+    db.tables <- String_map.remove table db.tables;
+    Stmt.ack statement
+  | Ast.Create_view (view, base, by) ->
+    Stmt.create_view names ~view ~base ~by (fun () -> (find_table db base).nfr);
+    Stmt.ack statement
+  | Ast.Drop_view view ->
+    Stmt.drop_view names view;
+    Stmt.ack statement
+  | Ast.Insert (table, _)
+  | Ast.Delete_values (table, _)
+  | Ast.Delete_where (table, _)
+  | Ast.Update_set (table, _, _) ->
+    Stmt.require_writable names table;
+    let state = find_table db table in
+    let overlay = Stmt.overlay ~order:state.order state.nfr in
+    let result = Stmt.exec_dml overlay statement in
+    db.tables <- String_map.add table { state with nfr = overlay.nfr } db.tables;
+    note_dml db table (List.rev overlay.ops);
+    result
+  | Ast.Select s -> Rows (fst (Stmt.select (resolve_source db s.source) s))
+  | Ast.Select_count (source, condition) ->
+    Stmt.count (Stmt.filter (resolve_source db source) condition)
+  | Ast.Explain s -> Done (exec_explain db s)
   | Ast.Explain_analyze s ->
     (* The logical back end has no physical operators to meter; report
        the plan annotated with the select's actual output size. The
        physical back end ({!Physical}) renders per-operator counters. *)
-    let plan =
-      match exec_explain db s with
-      | Done text -> text
-      | Rows _ -> assert false
-    in
-    (match exec_select db s with
-    | Rows rows ->
-      Done
-        (Printf.sprintf "%s\n  actual: %d fact(s) in %d NFR tuple(s)" plan
-           (Nfr.expansion_size rows) (Nfr.cardinality rows))
-    | Done _ -> assert false)
+    let rows = fst (Stmt.select (resolve_source db s.source) s) in
+    Done
+      (Printf.sprintf "%s\n  actual: %d fact(s) in %d NFR tuple(s)"
+         (exec_explain db s) (Nfr.expansion_size rows) (Nfr.cardinality rows))
   | Ast.Analyze name ->
-    (* The logical back end has no planner to feed, but it still
-       collects and reports the same statistics so the differential
-       suite can compare the text verbatim with {!Physical}. *)
-    if is_view db name then
-      error "cannot ANALYZE view %s: statistics are collected on base tables"
-        name;
-    if is_system db name then
-      error "cannot ANALYZE system table %s: statistics are collected on base tables"
-        name;
-    let state = find_table db name in
-    Done (Tablestats.summary name (Tablestats.collect state.nfr))
-  | Ast.Trace inner ->
-    (* Run the statement under a trace scope (reusing an ambient one if
-       the server already opened it) and return its spans as rows. *)
-    let run () = ignore (exec db inner) in
-    let trace =
-      match Obs.Span.current_trace () with
-      | Some trace ->
-        run ();
-        trace
-      | None ->
-        Obs.Span.in_trace (fun trace ->
-            run ();
-            trace)
-    in
-    Rows (rows_of_spans (Obs.Span.spans_of_trace trace))
-  | Ast.Show table -> Rows (fst (find_readable db table))
-  | Ast.History (series, last) -> (
-    match Systab.history_result db.sys ~series ~last with
-    | Ok rows -> Rows rows
-    | Error msg -> error "%s" msg)
-  | Ast.Begin -> (
-    match db.txn_saved with
-    | Some _ -> error "a transaction is already open"
-    | None ->
-      db.txn_saved <- Some db.tables;
-      db.txn_pending <- [];
-      Done "transaction open")
-  | Ast.Commit -> (
-    match db.txn_saved with
-    | None -> error "no transaction is open"
-    | Some _ ->
-      db.txn_saved <- None;
-      flush_pending db;
-      Done "transaction committed")
-  | Ast.Rollback -> (
-    match db.txn_saved with
-    | None -> error "no transaction is open"
-    | Some saved ->
-      db.tables <- saved;
-      db.txn_saved <- None;
-      db.txn_pending <- [];
-      Done "transaction rolled back")
+    (* No planner to feed, but the same statistics text, so the
+       differential suite can compare it verbatim with {!Physical}. *)
+    Stmt.check_analyze names name;
+    Done (Tablestats.summary name (Tablestats.collect (find_table db name).nfr))
+  | Ast.Trace inner -> Stmt.trace (fun () -> ignore (exec db inner))
+  | Ast.Show table -> Rows (fst (resolve_source db (Ast.From_table table)))
+  | Ast.History (series, last) -> Stmt.history db.sys ~series ~last
+  | Ast.Begin ->
+    db.txn_saved <- Some db.tables;
+    db.txn_pending <- [];
+    Stmt.ack statement
+  | Ast.Commit ->
+    db.txn_saved <- None;
+    flush_pending db;
+    Stmt.ack statement
+  | Ast.Rollback ->
+    Option.iter (fun saved -> db.tables <- saved) db.txn_saved;
+    db.txn_saved <- None;
+    db.txn_pending <- [];
+    Stmt.ack statement
 
 let exec_string db input =
   List.map (exec db) (Parser.parse_script input)
@@ -494,11 +209,6 @@ let table db name =
 
 let table_order db name =
   Option.map (fun state -> state.order) (String_map.find_opt name db.tables)
-
-let define db name ~order nfr =
-  if not (Nest.is_canonical nfr order) then
-    error "NFR for %s is not canonical for the given order" name;
-  db.tables <- String_map.add name { nfr; order } db.tables
 
 let pp_result ppf = function
   | Done msg -> Format.pp_print_string ppf msg

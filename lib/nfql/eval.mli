@@ -1,4 +1,6 @@
-(** NFQL evaluation against an in-memory database of canonical NFRs.
+(** NFQL evaluation against an in-memory database of canonical NFRs:
+    the differential oracle for {!Physical}, which the server and the
+    CLI run.
 
     Each table carries a nest application order fixed at CREATE time
     (default: schema order); INSERT and DELETE maintain the canonical
@@ -11,11 +13,12 @@
     [CONTAINS] under OR/NOT is rejected (its tuple-level meaning does
     not distribute over expansion selection).
 
+    Statement rules, guards and texts come from {!Stmt}, as they do
+    for {!Physical}; this module only stores and scans the tables.
     Transactions: [BEGIN] snapshots the (persistent) tables map,
     [ROLLBACK] restores it, [COMMIT] forgets the save point. This back
     end is single-session, so there is nothing to conflict with — the
-    snapshot-isolation story lives in {!Physical}. DDL ([CREATE]/
-    [DROP]) is rejected inside a transaction, matching {!Physical}. *)
+    snapshot-isolation story lives in {!Physical}. *)
 
 open Relational
 open Nfr_core
@@ -24,14 +27,11 @@ type db
 
 exception Eval_error of string
 
-type result =
+type result = Stmt.result =
   | Done of string  (** DDL/DML acknowledgement *)
   | Rows of Nfr.t  (** SELECT/SHOW result *)
 
 val create : unit -> db
-
-val in_txn : db -> bool
-(** Is a transaction open? *)
 
 val exec : db -> Ast.statement -> result
 (** @raise Eval_error on unknown tables/columns, type mismatches,
@@ -42,7 +42,7 @@ val exec_string : db -> string -> result list
     @raise Eval_error, [Parser.Parse_error] or [Lexer.Lex_error]. *)
 
 val table : db -> string -> Nfr.t option
-(** Direct table access for tests and the CLI. *)
+(** Direct table access for tests. *)
 
 val catalog : db -> Views.Catalog.t
 (** The database's view catalog (incrementally maintained canonical
@@ -56,15 +56,5 @@ val register_system_table : db -> string -> Systab.provider -> unit
 (** Install (or replace) a read-only system-table provider; see
     {!Systab}. @raise Invalid_argument unless the name starts with
     ['_']. *)
-
-val system_table_names : db -> string list
-
-val define : db -> string -> order:Attribute.t list -> Nfr.t -> unit
-(** Install an externally built NFR as a table (CLI loading path).
-    @raise Eval_error if the NFR is not canonical for [order]. *)
-
-val rows_of_spans : Obs.Span.t list -> Nfr.t
-(** The TRACE result surface: one row per span — (Span, Parent, Event,
-    Label, Ms, Rows, Bytes) — shared by both back ends. *)
 
 val pp_result : Format.formatter -> result -> unit

@@ -55,22 +55,14 @@ type cache_slot = {
   mutable slot_tick : int;  (* recency, for LRU eviction *)
 }
 
-(* One buffered write of an open transaction (flat-tuple level, the
-   Sec. 4 unit). UPDATE decomposes into delete/insert pairs. *)
-type txn_op =
-  | Op_insert of Tuple.t
-  | Op_delete of Tuple.t
-
 (* A table as one transaction sees it: the committed NFR snapshotted at
-   first touch (NFRs are persistent values, so this is O(1)) plus the
-   transaction's own writes folded in, and the base commit sequence the
-   first-committer-wins check validates against. *)
+   first touch (NFRs are persistent values, so this is O(1)) with the
+   transaction's own flat writes (the Sec. 4 unit) folded in, and the
+   base commit sequence the first-committer-wins check validates
+   against. *)
 type txn_table = {
   tx_base_seq : int;
-  tx_schema : Schema.t;
-  tx_order : Attribute.t list;
-  mutable tx_nfr : Nfr.t;
-  mutable tx_ops : txn_op list;  (* newest first *)
+  tx : Stmt.overlay;
 }
 
 type txn = {
@@ -202,6 +194,13 @@ let bump_generation db = db.generation <- db.generation + 1
 
 let is_view db name = Views.Catalog.mem db.views name
 let catalog db = db.views
+
+let names db =
+  {
+    Stmt.is_table = (fun name -> String_map.mem name db.tables);
+    views = db.views;
+    sys = db.sys;
+  }
 let set_cdc_sink db sink = db.cdc_sink <- Some sink
 let set_repl_sink db sink = db.repl_sink <- Some sink
 let repl_seq db = db.repl_seq
@@ -241,20 +240,11 @@ let entries_of_view_ops ops =
       | Views.Catalog.Ins t -> Storage.Wal.Insert t
       | Views.Catalog.Del t -> Storage.Wal.Delete t)
     ops
-let is_system db name = Systab.find db.sys name <> None
 let register_system_table db name provider = Systab.register db.sys name provider
 let system_table_names db = Systab.names db.sys
 
-(* The typed write guard: DML must name a base table, never a view or a
-   system table. *)
-let require_writable db name =
-  if is_view db name then error "%s is a view: views are read-only" name;
-  if is_system db name then error "%s" (Systab.read_only_error name)
-
 let add_table db name table =
-  if Systab.is_system_name name then error "%s" (Systab.reserved_error name);
-  if String_map.mem name db.tables then error "table %s already exists" name;
-  if is_view db name then error "view %s already exists" name;
+  Stmt.check_new_name (names db) name;
   db.tables <-
     String_map.add name { tbl = table; stats = None; writes = 0 } db.tables;
   bump_generation db
@@ -1159,20 +1149,18 @@ let run_select db (s : Ast.select) =
     /. float_of_int (max 1 actual));
   { shaped; filtered; root; peak = pipeline.meter.peak }
 
-let select_for_condition table_name condition =
-  {
-    Ast.columns = None;
-    source = Ast.From_table table_name;
-    where = Some condition;
-    nests = [];
-    unnests = [];
-  }
+(* The bare SELECT * whose filtered NFR a COUNT or a DML victim search
+   reads. *)
+let select_all source where =
+  { Ast.columns = None; source; where; nests = []; unnests = [] }
 
 (* DML victim search rides the same operator pipeline as SELECT; the
    pipeline is fully drained before any mutation, so no cursor is live
    while the table changes. *)
 let matching_tuples db table_name condition =
-  let executed = run_select db (select_for_condition table_name condition) in
+  let executed =
+    run_select db (select_all (Ast.From_table table_name) (Some condition))
+  in
   (Relation.tuples (Nfr.flatten executed.filtered), executed.root)
 
 let rec add_op_stats total op =
@@ -1295,126 +1283,49 @@ let path_text = function
         (Attribute.name attribute)
         inner)
 
-(* Views in a FROM clause: a lone view name takes the view-scan path
-   below; views inside a JOIN are rejected (the join operators read
-   heap records, which a materialized view does not have). *)
-let view_in_source db = function
-  | Ast.From_table name -> if is_view db name then Some name else None
-  | Ast.From_join (left, right) ->
-    if is_view db left || is_view db right then
-      error "views cannot appear in JOIN"
-    else None
+(* A view or a system table in FROM is a materialized source: its
+   canonical NFR {e is} the access path, so there is no planning step
+   and no heap I/O — just the WHERE/shape machinery over a persistent
+   value. A view reads its latest committed state (maintenance happens
+   only at commit points); a system table its provider's current
+   contents. *)
+let scan_word (m : Stmt.materialized) = if m.kind = Stmt.View then "view" else "system"
 
-(* System tables in a FROM clause, same shape as views: a lone name is
-   scanned through its provider; JOINs are rejected because providers
-   materialize afresh per statement and have no heap records. *)
-let sys_in_source db = function
-  | Ast.From_table name -> if is_system db name then Some name else None
-  | Ast.From_join (left, right) ->
-    if is_system db left || is_system db right then
-      error "system tables cannot appear in JOIN"
-    else None
-
-(* A SELECT over a view reads the materialized canonical NFR directly:
-   the view {e is} the access path, so there is no planning step and
-   no heap I/O — just the WHERE/shape machinery over a persistent
-   value. Reads see the latest committed view state (view maintenance
-   happens only at commit points). *)
-let run_view_select db (s : Ast.select) name =
-  let label = "view-scan " ^ name in
+let run_materialized db (m : Stmt.materialized) (s : Ast.select) =
+  let label = Printf.sprintf "%s-scan %s" (scan_word m) m.name in
   Obs.Span.with_span (Obs.Span.Operator label) label @@ fun span ->
-  let nfr = Views.Catalog.snapshot db.views name in
-  let order = Views.Catalog.order db.views name in
-  let filtered = Compile.apply_where (Nfr.schema nfr) order nfr s.Ast.where in
+  let shaped, filtered = Stmt.select (m.nfr, m.order) s in
   Obs.Span.set_rows span (Nfr.cardinality filtered);
   db.last_ops <- [ (label, Nfr.cardinality filtered) ];
   db.last_est <- None;
-  (Compile.shape_select filtered ~order s, filtered)
-
-(* A SELECT over a system table asks its provider for the current
-   contents — the read-only view-scan path generalized to
-   provider-backed relations. *)
-let run_sys_select db (s : Ast.select) name =
-  let label = "system-scan " ^ name in
-  Obs.Span.with_span (Obs.Span.Operator label) label @@ fun span ->
-  let provider =
-    match Systab.find db.sys name with
-    | Some p -> p
-    | None -> error "unknown table %s" name
-  in
-  let order, nfr = provider () in
-  let filtered = Compile.apply_where (Nfr.schema nfr) order nfr s.Ast.where in
-  Obs.Span.set_rows span (Nfr.cardinality filtered);
-  db.last_ops <- [ (label, Nfr.cardinality filtered) ];
-  db.last_est <- None;
-  (Compile.shape_select filtered ~order s, filtered)
-
-let sys_snapshot db name =
-  match Systab.find db.sys name with
-  | Some provider -> snd (provider ())
-  | None -> error "unknown table %s" name
-
-let explain_sys_text db (s : Ast.select) name =
-  let nfr = sys_snapshot db name in
-  let buffer = Buffer.create 128 in
-  let line fmt =
-    Printf.ksprintf (fun msg -> Buffer.add_string buffer (msg ^ "\n")) fmt
-  in
-  line "physical plan:";
-  line "  access: system scan %s (provider-backed NFR, %d NFR tuples)" name
-    (Nfr.cardinality nfr);
-  (match s.Ast.where with
-  | None -> ()
-  | Some condition ->
-    line "  residual filter: %s" (Format.asprintf "%a" Ast.pp_condition condition));
-  (match s.Ast.columns with
-  | None -> ()
-  | Some names -> line "  project %s" (String.concat "," names));
-  String.trim (Buffer.contents buffer)
-
-let explain_view_text db (s : Ast.select) name =
-  let nfr = Views.Catalog.snapshot db.views name in
-  let buffer = Buffer.create 128 in
-  let line fmt =
-    Printf.ksprintf (fun msg -> Buffer.add_string buffer (msg ^ "\n")) fmt
-  in
-  line "physical plan:";
-  line "  access: view scan %s (materialized canonical NFR, %d NFR tuples)"
-    name (Nfr.cardinality nfr);
-  (match s.Ast.where with
-  | None -> ()
-  | Some condition ->
-    line "  residual filter: %s" (Format.asprintf "%a" Ast.pp_condition condition));
-  (match s.Ast.columns with
-  | None -> ()
-  | Some names -> line "  project %s" (String.concat "," names));
-  String.trim (Buffer.contents buffer)
+  (shaped, filtered)
 
 let explain_text db (s : Ast.select) =
-  match view_in_source db s.Ast.source with
-  | Some name -> explain_view_text db s name
-  | None ->
-  match sys_in_source db s.Ast.source with
-  | Some name -> explain_sys_text db s name
-  | None ->
-  let p = plan db s in
   let buffer = Buffer.create 128 in
   let line fmt =
     Printf.ksprintf (fun msg -> Buffer.add_string buffer (msg ^ "\n")) fmt
   in
   line "physical plan:";
-  line "  access: %s" (path_text p.plan_path);
-  line "  est rows: %.1f%s" p.plan_rows
-    (if p.plan_from_stats then "" else " (no statistics; run ANALYZE)");
-  if p.plan_candidates <> [] then begin
-    line "  candidates:";
-    List.iter
-      (fun c ->
-        line "    %-52s cost %10.1f  est rows %10.1f%s" (path_text c.cand_path)
-          c.cand_cost c.cand_rows
-          (if c.cand_path = p.plan_path then "  (chosen)" else ""))
-      p.plan_candidates
-  end;
+  (match Stmt.derived_source (names db) s.Ast.source with
+  | Some m ->
+    line "  access: %s scan %s (%s, %d NFR tuples)" (scan_word m) m.name
+      (if m.kind = Stmt.View then "materialized canonical NFR"
+       else "provider-backed NFR")
+      (Nfr.cardinality m.nfr)
+  | None ->
+    let p = plan db s in
+    line "  access: %s" (path_text p.plan_path);
+    line "  est rows: %.1f%s" p.plan_rows
+      (if p.plan_from_stats then "" else " (no statistics; run ANALYZE)");
+    if p.plan_candidates <> [] then begin
+      line "  candidates:";
+      List.iter
+        (fun c ->
+          line "    %-52s cost %10.1f  est rows %10.1f%s" (path_text c.cand_path)
+            c.cand_cost c.cand_rows
+            (if c.cand_path = p.plan_path then "  (chosen)" else ""))
+        p.plan_candidates
+    end);
   (match s.Ast.where with
   | None -> ()
   | Some condition ->
@@ -1423,22 +1334,6 @@ let explain_text db (s : Ast.select) =
   | None -> ()
   | Some names -> line "  project %s" (String.concat "," names));
   String.trim (Buffer.contents buffer)
-
-(* ------------------------------------------------------------------ *)
-(* Statements                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let tuple_of_row schema row =
-  if List.length row <> Schema.degree schema then
-    error "expected %d values, got %d" (Schema.degree schema) (List.length row);
-  match Tuple.make schema (List.map Compile.value_of_literal row) with
-  | tuple -> tuple
-  | exception Schema.Schema_error msg -> error "%s" msg
-
-let type_of_name name =
-  match Value.ty_of_name (String.lowercase_ascii name) with
-  | Some ty -> ty
-  | None -> error "unknown type %s" name
 
 (* ------------------------------------------------------------------ *)
 (* Transactions: buffered optimistic snapshot isolation                *)
@@ -1463,10 +1358,10 @@ let txn_touch db txn name =
     let tt =
       {
         tx_base_seq = Storage.Table.commit_seq entry.tbl;
-        tx_schema = Storage.Table.schema entry.tbl;
-        tx_order = Storage.Table.nest_order entry.tbl;
-        tx_nfr = Storage.Table.snapshot entry.tbl;
-        tx_ops = [];
+        tx =
+          Stmt.overlay
+            ~order:(Storage.Table.nest_order entry.tbl)
+            (Storage.Table.snapshot entry.tbl);
       }
     in
     txn.touched <- String_map.add name tt txn.touched;
@@ -1474,67 +1369,8 @@ let txn_touch db txn name =
 
 let txn_write_count txn =
   String_map.fold
-    (fun _ tt acc -> acc + List.length tt.tx_ops)
+    (fun _ tt acc -> acc + List.length tt.tx.ops)
     txn.touched 0
-
-(* Victim search against the overlay rides the logical path — the
-   physical operators read heap records, which an uncommitted txn does
-   not have. *)
-let txn_matching tt condition =
-  let predicates, contains = Compile.split_condition tt.tx_schema condition in
-  let restricted =
-    List.fold_left
-      (fun nfr (attribute, value) -> Nalgebra.select_contains attribute value nfr)
-      tt.tx_nfr contains
-  in
-  let flat = Nfr.flatten restricted in
-  List.fold_left
-    (fun flat predicate ->
-      match Algebra.select predicate flat with
-      | selected -> selected
-      | exception Algebra.Algebra_error msg -> error "%s" msg)
-    flat predicates
-
-let txn_do_insert tt tuple =
-  if Nfr.member_tuple tt.tx_nfr tuple then false
-  else begin
-    tt.tx_nfr <- Update.insert ~order:tt.tx_order tt.tx_nfr tuple;
-    tt.tx_ops <- Op_insert tuple :: tt.tx_ops;
-    true
-  end
-
-let txn_do_delete tt tuple =
-  let nfr = Update.delete ~order:tt.tx_order tt.tx_nfr tuple in
-  tt.tx_nfr <- nfr;
-  tt.tx_ops <- Op_delete tuple :: tt.tx_ops
-
-let txn_resolve_source db txn = function
-  | Ast.From_table name when is_view db name ->
-    (* Views are maintained at commit points only: a transaction reads
-       the latest committed view state, not its own snapshot. *)
-    (Views.Catalog.snapshot db.views name, Views.Catalog.order db.views name)
-  | Ast.From_table name when is_system db name ->
-    (* System tables are live monitoring state — never part of any
-       snapshot; a transaction reads the provider's current contents. *)
-    let provider = Option.get (Systab.find db.sys name) in
-    let order, nfr = provider () in
-    (nfr, order)
-  | Ast.From_table name ->
-    let tt = txn_touch db txn name in
-    (tt.tx_nfr, tt.tx_order)
-  | Ast.From_join (left, right) ->
-    if is_view db left || is_view db right then
-      error "views cannot appear in JOIN";
-    if is_system db left || is_system db right then
-      error "system tables cannot appear in JOIN";
-    let lt = txn_touch db txn left and rt = txn_touch db txn right in
-    let joined =
-      match Nalgebra.natural_join lt.tx_nfr rt.tx_nfr with
-      | joined -> joined
-      | exception Schema.Schema_error msg -> error "%s" msg
-    in
-    let order = Schema.attributes (Nfr.schema joined) in
-    (Nest.canonicalize joined order, order)
 
 let begin_txn session =
   let db = session.sdb in
@@ -1547,7 +1383,7 @@ let begin_txn session =
   session.txn <- Some txn;
   Obs.Registry.incr (registry ()) "txn.begin";
   Obs.Registry.add_gauge (registry ()) "txn.active" 1.;
-  Eval.Done "transaction open"
+  Stmt.ack Ast.Begin
 
 (* Close out [txn]: unregister it and prune each touched table's
    ledger below the oldest snapshot any still-open transaction holds
@@ -1594,7 +1430,7 @@ let commit_txn session txn =
      applied by this single-threaded executor serialize identically. *)
   let writers =
     List.filter
-      (fun (_, tt) -> tt.tx_ops <> [])
+      (fun (_, tt) -> tt.tx.ops <> [])
       (String_map.bindings txn.touched)
   in
   (* First committer wins: if any commit since this txn's snapshot
@@ -1607,14 +1443,14 @@ let commit_txn session txn =
       | Some entry ->
         List.iter
           (fun op ->
-            let tuple = match op with Op_insert t | Op_delete t -> t in
+            let tuple = match op with Views.Catalog.Ins t | Views.Catalog.Del t -> t in
             if Storage.Table.modified_since entry.tbl ~seq:tt.tx_base_seq tuple
             then
               conflict session txn
                 "concurrent commit wrote tuple %s in table %s"
                 (Format.asprintf "%a" Tuple.pp tuple)
                 name)
-          tt.tx_ops)
+          tt.tx.ops)
     writers;
   (* Apply through the storage transaction API so each WAL carries the
      whole group under txn framing. The per-table Txn_commit records
@@ -1629,7 +1465,7 @@ let commit_txn session txn =
   List.iter
     (fun (name, tt) ->
       let entry = find_entry db name in
-      let ops = List.rev tt.tx_ops in
+      let ops = List.rev tt.tx.ops in
       (* The cross-table crash window: one hit per participating
          table, immediately before its provisional group is logged. *)
       Storage.Failpoint.hit "txn.commit.table";
@@ -1637,9 +1473,9 @@ let commit_txn session txn =
       (match
          List.iter
            (function
-             | Op_insert tuple ->
+             | Views.Catalog.Ins tuple ->
                ignore (Storage.Table.txn_insert entry.tbl ~txid:txn.txn_id tuple)
-             | Op_delete tuple ->
+             | Views.Catalog.Del tuple ->
                Storage.Table.txn_delete entry.tbl ~txid:txn.txn_id tuple)
            ops
        with
@@ -1673,168 +1509,94 @@ let commit_txn session txn =
   if List.length writers > 1 then
     Obs.Registry.incr (registry ()) "txn.multi_table_commit";
   (* Ship the committed group downstream in commit order. *)
-  (match
-     List.filter_map
-       (fun (name, tt) ->
-         match
-           List.rev_map
-             (function
-               | Op_insert t -> Storage.Wal.Insert t
-               | Op_delete t -> Storage.Wal.Delete t)
-             tt.tx_ops
-         with
-         | [] -> None
-         | entries -> Some (name, entries))
-       writers
-   with
-  | [] -> ()
-  | writes -> emit_repl db ~txid:txn.txn_id (R_writes writes));
+  if writers <> [] then
+    emit_repl db ~txid:txn.txn_id
+      (R_writes
+         (List.map
+            (fun (name, tt) -> (name, entries_of_view_ops (List.rev tt.tx.ops)))
+            writers));
   (* The commit point: fold the committed writes into dependent views
      and emit CDC deltas — never earlier, so subscribers and view
      readers cannot observe the uncommitted overlay. *)
   List.iter
-    (fun (name, tt) ->
-      maintain_views db ~base:name
-        (List.rev_map
-           (function
-             | Op_insert t -> Views.Catalog.Ins t
-             | Op_delete t -> Views.Catalog.Del t)
-           tt.tx_ops))
+    (fun (name, tt) -> maintain_views db ~base:name (List.rev tt.tx.ops))
     writers;
   Obs.Registry.incr (registry ()) "txn.commit";
   end_txn session txn;
-  Eval.Done "transaction committed"
+  Stmt.ack Ast.Commit
 
-let rec exec_txn session txn stats statement =
+(* Inside a transaction the overlay answers what it changes: base-table
+   DML, reads of base tables and joins (SELECT, COUNT, SHOW), and
+   COMMIT/ROLLBACK. [None] hands the statement to the autocommit path:
+   views and system tables belong to no snapshot, and ANALYZE, EXPLAIN,
+   HISTORY and TRACE read committed or live state. *)
+let exec_txn session txn statement =
   let db = session.sdb in
+  let names = names db in
+  let overlay name = (txn_touch db txn name).tx in
+  let read = function
+    | Ast.From_table name when Stmt.is_derived names name -> None
+    | source ->
+      Some
+        (Stmt.resolve_source names source ~base:(fun name ->
+             let ov = overlay name in
+             (ov.nfr, ov.order)))
+  in
   match statement with
-  | Ast.Begin -> error "a transaction is already open"
-  | Ast.Commit -> commit_txn session txn
+  | Ast.Commit -> Some (commit_txn session txn)
   | Ast.Rollback ->
     Obs.Span.with_span (Obs.Span.Txn "rollback") "txn-rollback" @@ fun _ ->
     rollback_txn session txn;
-    Eval.Done "transaction rolled back"
-  | Ast.Create _ -> error "CREATE TABLE is not allowed inside a transaction"
-  | Ast.Drop _ -> error "DROP TABLE is not allowed inside a transaction"
-  | Ast.Create_view _ -> error "CREATE VIEW is not allowed inside a transaction"
-  | Ast.Drop_view _ -> error "DROP VIEW is not allowed inside a transaction"
-  | Ast.Insert (name, rows) ->
-    require_writable db name;
-    let tt = txn_touch db txn name in
-    let inserted =
-      List.fold_left
-        (fun count row ->
-          if txn_do_insert tt (tuple_of_row tt.tx_schema row) then count + 1
-          else count)
-        0 rows
-    in
-    Eval.Done (Printf.sprintf "%d row(s) inserted" inserted)
-  | Ast.Delete_values (name, row) ->
-    require_writable db name;
-    let tt = txn_touch db txn name in
-    let tuple = tuple_of_row tt.tx_schema row in
-    (match txn_do_delete tt tuple with
-    | () -> Eval.Done "1 row deleted"
-    | exception Update.Not_in_relation ->
-      error "tuple %s is not in %s" (Format.asprintf "%a" Tuple.pp tuple) name)
-  | Ast.Delete_where (name, condition) ->
-    require_writable db name;
-    let tt = txn_touch db txn name in
-    let victims = Relation.tuples (txn_matching tt condition) in
-    List.iter (fun tuple -> txn_do_delete tt tuple) victims;
-    Eval.Done (Printf.sprintf "%d row(s) deleted" (List.length victims))
-  | Ast.Update_set (name, assignments, condition) ->
-    require_writable db name;
-    let tt = txn_touch db txn name in
-    let resolved =
-      List.map
-        (fun (column, literal) ->
-          ( Compile.attribute_of tt.tx_schema column,
-            Compile.value_of_literal literal ))
-        assignments
-    in
-    let victims = Relation.tuples (txn_matching tt condition) in
-    List.iter
-      (fun victim ->
-        let image =
-          List.fold_left
-            (fun tuple (attribute, value) ->
-              Tuple.set_field tt.tx_schema tuple attribute value)
-            victim resolved
-        in
-        if not (Tuple.equal image victim) then begin
-          ignore (txn_do_insert tt image);
-          txn_do_delete tt victim
-        end)
-      victims;
-    Eval.Done (Printf.sprintf "%d row(s) updated" (List.length victims))
+    Some (Stmt.ack statement)
+  | Ast.Insert (name, _)
+  | Ast.Delete_values (name, _)
+  | Ast.Delete_where (name, _)
+  | Ast.Update_set (name, _, _) ->
+    Stmt.require_writable names name;
+    Some (Stmt.exec_dml (overlay name) statement)
   | Ast.Select s ->
-    let source, order = txn_resolve_source db txn s.Ast.source in
-    let filtered =
-      Compile.apply_where (Nfr.schema source) order source s.Ast.where
-    in
-    Eval.Rows (Compile.shape_select filtered ~order s)
+    Option.map (fun source -> Stmt.Rows (fst (Stmt.select source s))) (read s.Ast.source)
   | Ast.Select_count (source, condition) ->
-    let nfr, order = txn_resolve_source db txn source in
-    let filtered = Compile.apply_where (Nfr.schema nfr) order nfr condition in
-    Eval.Done
-      (Printf.sprintf "%d fact(s) in %d NFR tuple(s)"
-         (Nfr.expansion_size filtered) (Nfr.cardinality filtered))
-  | Ast.Explain s -> Eval.Done (explain_text db s)
-  | Ast.Explain_analyze _ ->
-    error
-      "EXPLAIN ANALYZE is not allowed inside a transaction (physical \
-       operators read committed state, not the snapshot)"
-  | Ast.History (series, last) -> (
-    match Systab.history_result db.sys ~series ~last with
-    | Ok rows -> Eval.Rows rows
-    | Error msg -> error "%s" msg)
-  | Ast.Analyze name ->
-    (* Statistics describe the committed table; collecting them inside
-       a transaction is allowed and reads right through the snapshot. *)
-    if is_view db name then
-      error "cannot ANALYZE view %s: statistics are collected on base tables"
-        name;
-    if is_system db name then
-      error "cannot ANALYZE system table %s: statistics are collected on base \
-             tables"
-        name;
-    let entry = find_entry db name in
-    let collected = collect_stats entry in
-    bump_generation db;
-    Obs.Registry.incr (registry ()) "planner.analyze";
-    Eval.Done (Tablestats.summary name collected)
-  | Ast.Trace inner ->
-    let run () = ignore (exec_txn session txn stats inner) in
-    let trace =
-      match Obs.Span.current_trace () with
-      | Some trace ->
-        run ();
-        trace
-      | None ->
-        Obs.Span.in_trace (fun trace ->
-            run ();
-            trace)
-    in
-    Eval.Rows (Eval.rows_of_spans (Obs.Span.spans_of_trace trace))
+    Option.map (fun source -> Stmt.count (Stmt.filter source condition)) (read source)
   | Ast.Show name ->
-    if is_view db name then
-      (* Views are maintained at commit points only, so a transaction
-         reads the latest committed view state — they are not part of
-         its snapshot. *)
-      Eval.Rows (Views.Catalog.snapshot db.views name)
-    else if is_system db name then Eval.Rows (sys_snapshot db name)
-    else
-      let tt = txn_touch db txn name in
-      Eval.Rows tt.tx_nfr
+    Option.map (fun (nfr, _) -> Stmt.Rows nfr) (read (Ast.From_table name))
+  | _ -> None
 
-and exec_session session statement =
+(* ------------------------------------------------------------------ *)
+(* Statements                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* DML's preamble: a primary, a base table. *)
+let writable_entry db name =
+  require_primary db;
+  Stmt.require_writable (names db) name;
+  find_entry db name
+
+(* An autocommit write group is committed as soon as it is applied:
+   feed auto-analyze, the dependent views and the replication stream. *)
+let committed_writes db entry name ~writes ops =
+  note_writes db entry writes;
+  maintain_views db ~base:name ops;
+  if ops <> [] then emit_repl db (R_writes [ (name, entries_of_view_ops ops) ])
+
+(* A SELECT's (shaped, filtered) NFRs, through a materialized source or
+   the planned operator tree. *)
+let read db stats (s : Ast.select) =
+  match Stmt.derived_source (names db) s.Ast.source with
+  | Some m -> run_materialized db m s
+  | None ->
+    let executed = run_select db s in
+    add_op_stats stats executed.root;
+    (executed.shaped, executed.filtered)
+
+let rec exec_session session statement =
   let verb = Ast.statement_verb statement in
   Obs.Span.with_span (Obs.Span.Statement verb) verb @@ fun statement_span ->
+  Stmt.check_txn ~in_txn:(in_txn session) statement;
   let stats = Storage.Stats.create () in
   let result =
-    match session.txn with
-    | Some txn -> exec_txn session txn stats statement
+    match Option.bind session.txn (fun txn -> exec_txn session txn statement) with
+    | Some result -> result
     | None -> exec_auto session stats statement
   in
   Obs.Span.set_bytes statement_span stats.Storage.Stats.bytes_read;
@@ -1842,264 +1604,129 @@ and exec_session session statement =
 
 and exec_auto session stats statement =
   let db = session.sdb in
+  let names = names db in
   match statement with
-    | Ast.Create (name, columns, order) ->
-      require_primary db;
-      let schema =
-        match
-          Schema.of_names (List.map (fun (n, ty) -> (n, type_of_name ty)) columns)
-        with
-        | schema -> schema
-        | exception Schema.Schema_error msg -> error "%s" msg
-      in
-      let order_attrs =
-        match order with
-        | None -> Schema.attributes schema
-        | Some names -> List.map (Compile.attribute_of schema) names
-      in
-      add_table db name (Storage.Table.create ~order:order_attrs schema);
-      emit_repl db (R_create { name; schema; order = order_attrs });
-      Eval.Done (Printf.sprintf "table %s created" name)
-    | Ast.Drop name ->
-      require_primary db;
-      if is_view db name then error "%s is a view: use DROP VIEW" name;
-      if is_system db name then error "%s" (Systab.read_only_error name);
-      if not (String_map.mem name db.tables) then error "unknown table %s" name;
-      (match Views.Catalog.dependents db.views ~base:name with
-      | [] -> ()
-      | deps ->
-        error "cannot drop table %s: view %s depends on it" name
-          (String.concat ", " deps));
-      Storage.Table.close (find_table db name);
-      db.tables <- String_map.remove name db.tables;
-      bump_generation db;
-      emit_repl db (R_drop name);
-      Eval.Done (Printf.sprintf "table %s dropped" name)
-    | Ast.Create_view (view, base, by) -> (
-      require_primary db;
-      if Systab.is_system_name view then error "%s" (Systab.reserved_error view);
-      if String_map.mem view db.tables then error "table %s already exists" view;
-      if is_view db base then
-        error "%s is a view: views must be defined over base tables" base;
-      if is_system db base then
-        error "%s is a system table: views must be defined over base tables"
-          base;
-      let entry = find_entry db base in
-      match
-        Views.Catalog.define db.views ~view ~base ~by
-          (Storage.Table.snapshot entry.tbl)
-      with
-      | () ->
-        bump_generation db;
-        emit_repl db (R_create_view { view; base; by });
-        Eval.Done (Printf.sprintf "view %s created" view)
-      | exception Views.Catalog.View_error msg -> error "%s" msg)
-    | Ast.Drop_view view -> (
-      require_primary db;
-      match Views.Catalog.drop db.views view with
-      | () ->
-        bump_generation db;
-        emit_repl db (R_drop_view view);
-        Eval.Done (Printf.sprintf "view %s dropped" view)
-      | exception Views.Catalog.View_error msg -> error "%s" msg)
-    | Ast.Insert (name, rows) ->
-      require_primary db;
-      require_writable db name;
-      let entry = find_entry db name in
-      let schema = Storage.Table.schema entry.tbl in
-      let inserted, ops =
-        List.fold_left
-          (fun (count, ops) row ->
-            let tuple = tuple_of_row schema row in
-            if Storage.Table.insert entry.tbl tuple then
-              (count + 1, Views.Catalog.Ins tuple :: ops)
-            else (count, ops))
-          (0, []) rows
-      in
-      note_writes db entry inserted;
-      let ops = List.rev ops in
-      maintain_views db ~base:name ops;
-      if ops <> [] then
-        emit_repl db (R_writes [ (name, entries_of_view_ops ops) ]);
-      Eval.Done (Printf.sprintf "%d row(s) inserted" inserted)
-    | Ast.Delete_values (name, row) ->
-      require_primary db;
-      require_writable db name;
-      let entry = find_entry db name in
-      let tuple = tuple_of_row (Storage.Table.schema entry.tbl) row in
-      (match Storage.Table.delete entry.tbl tuple with
-      | () ->
-        note_writes db entry 1;
-        maintain_views db ~base:name [ Views.Catalog.Del tuple ];
-        emit_repl db (R_writes [ (name, [ Storage.Wal.Delete tuple ]) ]);
-        Eval.Done "1 row deleted"
-      | exception Update.Not_in_relation ->
-        error "tuple %s is not in %s" (Format.asprintf "%a" Tuple.pp tuple) name)
-    | Ast.Delete_where (name, condition) ->
-      require_primary db;
-      require_writable db name;
-      let entry = find_entry db name in
-      let victims, search = matching_tuples db name condition in
-      add_op_stats stats search;
-      List.iter (fun tuple -> Storage.Table.delete entry.tbl tuple) victims;
-      note_writes db entry (List.length victims);
-      maintain_views db ~base:name
-        (List.map (fun t -> Views.Catalog.Del t) victims);
-      if victims <> [] then
-        emit_repl db
-          (R_writes
-             [ (name, List.map (fun t -> Storage.Wal.Delete t) victims) ]);
-      Eval.Done (Printf.sprintf "%d row(s) deleted" (List.length victims))
-    | Ast.Update_set (name, assignments, condition) ->
-      require_primary db;
-      require_writable db name;
-      let entry = find_entry db name in
-      let schema = Storage.Table.schema entry.tbl in
-      let resolved =
-        List.map
-          (fun (column, literal) ->
-            (Compile.attribute_of schema column, Compile.value_of_literal literal))
-          assignments
-      in
-      let victims, search = matching_tuples db name condition in
-      add_op_stats stats search;
-      let image_of tuple =
-        List.fold_left
-          (fun tuple (attribute, value) ->
-            Tuple.set_field schema tuple attribute value)
-          tuple resolved
-      in
-      (* Insert each victim's image before deleting the victim, one
-         pair at a time: a crash anywhere in the window leaves every
-         victim present as itself or as its image — never silently
-         lost, as the old delete-all-then-insert-all batches did.
-         Assignments are constant, so an image colliding with another
-         victim equals that victim's own (identity) image; identity
-         pairs are skipped outright, which keeps the pairwise order
-         equivalent to the batch semantics. *)
-      let ops =
-        List.fold_left
-          (fun ops victim ->
-            let image = image_of victim in
-            if not (Tuple.equal image victim) then begin
-              ignore (Storage.Table.insert entry.tbl image);
-              Storage.Table.delete entry.tbl victim;
-              Views.Catalog.Del victim :: Views.Catalog.Ins image :: ops
-            end
-            else ops)
-          [] victims
-      in
-      note_writes db entry (List.length victims);
-      let ops = List.rev ops in
-      maintain_views db ~base:name ops;
-      if ops <> [] then
-        emit_repl db (R_writes [ (name, entries_of_view_ops ops) ]);
-      Eval.Done (Printf.sprintf "%d row(s) updated" (List.length victims))
-    | Ast.Select s -> (
-      match view_in_source db s.Ast.source with
-      | Some name ->
-        let shaped, _ = run_view_select db s name in
-        Eval.Rows shaped
-      | None -> (
-        match sys_in_source db s.Ast.source with
-        | Some name ->
-          let shaped, _ = run_sys_select db s name in
-          Eval.Rows shaped
-        | None ->
-          let executed = run_select db s in
-          add_op_stats stats executed.root;
-          Eval.Rows executed.shaped))
-    | Ast.Select_count (source, condition) -> (
-      let select =
-        { Ast.columns = None; source; where = condition; nests = []; unnests = [] }
-      in
-      match view_in_source db source with
-      | Some name ->
-        let _, filtered = run_view_select db select name in
-        Eval.Done
-          (Printf.sprintf "%d fact(s) in %d NFR tuple(s)"
-             (Nfr.expansion_size filtered) (Nfr.cardinality filtered))
-      | None -> (
-        match sys_in_source db source with
-        | Some name ->
-          let _, filtered = run_sys_select db select name in
-          Eval.Done
-            (Printf.sprintf "%d fact(s) in %d NFR tuple(s)"
-               (Nfr.expansion_size filtered) (Nfr.cardinality filtered))
-        | None ->
-          let executed = run_select db select in
-          add_op_stats stats executed.root;
-          Eval.Done
-            (Printf.sprintf "%d fact(s) in %d NFR tuple(s)"
-               (Nfr.expansion_size executed.filtered)
-               (Nfr.cardinality executed.filtered))))
-    | Ast.Explain s -> Eval.Done (explain_text db s)
-    | Ast.Explain_analyze s -> (
-      match view_in_source db s.Ast.source with
-      | Some name ->
-        let shaped, filtered = run_view_select db s name in
-        Eval.Done
-          (Printf.sprintf
-             "physical plan (executed):\n\
-             \  access: view scan %s -> %d NFR tuple(s), %d returned"
-             name (Nfr.cardinality filtered) (Nfr.cardinality shaped))
-      | None -> (
-        match sys_in_source db s.Ast.source with
-        | Some name ->
-          let shaped, filtered = run_sys_select db s name in
-          Eval.Done
-            (Printf.sprintf
-               "physical plan (executed):\n\
-               \  access: system scan %s -> %d NFR tuple(s), %d returned"
-               name (Nfr.cardinality filtered) (Nfr.cardinality shaped))
-        | None ->
-          let report = analyze_select db s in
-          Storage.Stats.add stats (stats_of_report report);
-          Eval.Done (render_analyze report)))
-    | Ast.History (series, last) -> (
-      match Systab.history_result db.sys ~series ~last with
-      | Ok rows -> Eval.Rows rows
-      | Error msg -> error "%s" msg)
-    | Ast.Analyze name ->
-      if is_view db name then
-        error "cannot ANALYZE view %s: statistics are collected on base tables"
-          name;
-      if is_system db name then
-        error
-          "cannot ANALYZE system table %s: statistics are collected on base \
-           tables"
-          name;
-      let entry = find_entry db name in
-      let collected = collect_stats entry in
-      bump_generation db;
-      Obs.Registry.incr (registry ()) "planner.analyze";
-      Eval.Done (Tablestats.summary name collected)
-    | Ast.Trace inner ->
-      (* Run the statement under a trace scope — reusing the server's
-         ambient one when present — and return its spans as rows. *)
-      let run () =
+  | Ast.Create (name, columns, order) ->
+    require_primary db;
+    let schema, order = Stmt.schema_of_columns columns order in
+    add_table db name (Storage.Table.create ~order schema);
+    emit_repl db (R_create { name; schema; order });
+    Stmt.ack statement
+  | Ast.Drop name ->
+    require_primary db;
+    Stmt.check_drop_table names name;
+    Storage.Table.close (find_table db name);
+    db.tables <- String_map.remove name db.tables;
+    bump_generation db;
+    emit_repl db (R_drop name);
+    Stmt.ack statement
+  | Ast.Create_view (view, base, by) ->
+    require_primary db;
+    Stmt.create_view names ~view ~base ~by (fun () ->
+        Storage.Table.snapshot (find_table db base));
+    bump_generation db;
+    emit_repl db (R_create_view { view; base; by });
+    Stmt.ack statement
+  | Ast.Drop_view view ->
+    require_primary db;
+    Stmt.drop_view names view;
+    bump_generation db;
+    emit_repl db (R_drop_view view);
+    Stmt.ack statement
+  | Ast.Insert (name, rows) ->
+    let entry = writable_entry db name in
+    let tuples = List.map (Stmt.tuple_of_row (Storage.Table.schema entry.tbl)) rows in
+    let ops =
+      List.filter_map
+        (fun tuple ->
+          if Storage.Table.insert entry.tbl tuple then Some (Views.Catalog.Ins tuple)
+          else None)
+        tuples
+    in
+    committed_writes db entry name ~writes:(List.length ops) ops;
+    Stmt.ack ~count:(List.length ops) statement
+  | Ast.Delete_values (name, row) -> (
+    let entry = writable_entry db name in
+    let tuple = Stmt.tuple_of_row (Storage.Table.schema entry.tbl) row in
+    match Storage.Table.delete entry.tbl tuple with
+    | () ->
+      committed_writes db entry name ~writes:1 [ Views.Catalog.Del tuple ];
+      Stmt.ack statement
+    | exception Update.Not_in_relation -> Stmt.not_in tuple name)
+  | Ast.Delete_where (name, condition) ->
+    let entry = writable_entry db name in
+    let victims, search = matching_tuples db name condition in
+    add_op_stats stats search;
+    List.iter (fun tuple -> Storage.Table.delete entry.tbl tuple) victims;
+    committed_writes db entry name ~writes:(List.length victims)
+      (List.map (fun t -> Views.Catalog.Del t) victims);
+    Stmt.ack ~count:(List.length victims) statement
+  | Ast.Update_set (name, assignments, condition) ->
+    let entry = writable_entry db name in
+    let schema = Storage.Table.schema entry.tbl in
+    let resolved = Stmt.assignments schema assignments in
+    let victims, search = matching_tuples db name condition in
+    add_op_stats stats search;
+    (* Insert each victim's image before deleting the victim, one pair
+       at a time: a crash anywhere in the window leaves every victim
+       present as itself or as its image — never silently lost.
+       Identity pairs are skipped (see {!Stmt.exec_dml}). *)
+    let ops =
+      List.concat_map
+        (fun victim ->
+          let image = Stmt.image schema resolved victim in
+          if Tuple.equal image victim then []
+          else begin
+            ignore (Storage.Table.insert entry.tbl image);
+            Storage.Table.delete entry.tbl victim;
+            [ Views.Catalog.Ins image; Views.Catalog.Del victim ]
+          end)
+        victims
+    in
+    committed_writes db entry name ~writes:(List.length victims) ops;
+    Stmt.ack ~count:(List.length victims) statement
+  | Ast.Select s -> Stmt.Rows (fst (read db stats s))
+  | Ast.Select_count (source, condition) ->
+    Stmt.count (snd (read db stats (select_all source condition)))
+  | Ast.Explain s -> Stmt.Done (explain_text db s)
+  | Ast.Explain_analyze s -> (
+    match Stmt.derived_source names s.Ast.source with
+    | Some m ->
+      let shaped, filtered = run_materialized db m s in
+      Stmt.Done
+        (Printf.sprintf
+           "physical plan (executed):\n\
+           \  access: %s scan %s -> %d NFR tuple(s), %d returned"
+           (scan_word m) m.name (Nfr.cardinality filtered) (Nfr.cardinality shaped))
+    | None ->
+      let report = analyze_select db s in
+      Storage.Stats.add stats (stats_of_report report);
+      Stmt.Done (render_analyze report))
+  | Ast.History (series, last) -> Stmt.history db.sys ~series ~last
+  | Ast.Analyze name ->
+    (* Statistics describe the committed table, inside a transaction
+       too. *)
+    Stmt.check_analyze names name;
+    let collected = collect_stats (find_entry db name) in
+    bump_generation db;
+    Obs.Registry.incr (registry ()) "planner.analyze";
+    Stmt.Done (Tablestats.summary name collected)
+  | Ast.Trace inner ->
+    Stmt.trace (fun () ->
         let _, inner_stats = exec_session session inner in
-        Storage.Stats.add stats inner_stats
-      in
-      let trace =
-        match Obs.Span.current_trace () with
-        | Some trace ->
-          run ();
-          trace
-        | None ->
-          Obs.Span.in_trace (fun trace ->
-              run ();
-              trace)
-      in
-      Eval.Rows (Eval.rows_of_spans (Obs.Span.spans_of_trace trace))
-    | Ast.Show name ->
-      if is_view db name then Eval.Rows (Views.Catalog.snapshot db.views name)
-      else if is_system db name then Eval.Rows (sys_snapshot db name)
-      else Eval.Rows (Storage.Table.snapshot (find_table db name))
-    | Ast.Begin ->
-      Obs.Span.with_span (Obs.Span.Txn "begin") "txn-begin" @@ fun _ ->
-      begin_txn session
-    | Ast.Commit | Ast.Rollback -> error "no transaction is open"
+        Storage.Stats.add stats inner_stats)
+  | Ast.Show name ->
+    Stmt.Rows
+      (match Stmt.derived names name with
+      | Some m -> m.nfr
+      | None -> Storage.Table.snapshot (find_table db name))
+  | Ast.Begin ->
+    Obs.Span.with_span (Obs.Span.Txn "begin") "txn-begin" @@ fun _ ->
+    begin_txn session
+  | Ast.Commit | Ast.Rollback ->
+    (* Refused by {!Stmt.check_txn} outside a transaction, answered by
+       {!exec_txn} inside one. *)
+    assert false
 
 let exec db statement = exec_session (default_session db) statement
 

@@ -40,7 +40,9 @@
     Whatever the path, tuples are filtered with the same semantics as
     {!Eval} — access paths are sound pre-filters (they never lose a
     matching group), so both back ends return identical rows
-    (property-tested). DML statements behave as in {!Eval} but persist
+    (property-tested). The statement rules — name resolution, guards
+    and their errors, acknowledgement texts, typing, TRACE/HISTORY —
+    are {!Stmt}'s, shared with {!Eval}; DML statements persist
     through the table (and its WAL, if any); UPDATE applies each
     victim as an insert-image-then-delete pair so a crash inside the
     statement never silently loses a row.
@@ -58,8 +60,9 @@
 
     [BEGIN]/[COMMIT]/[ROLLBACK] give buffered optimistic snapshot
     isolation per {!session}. Inside a transaction every touched table
-    is an overlay — the committed NFR snapshotted at first touch (O(1):
-    NFRs are persistent) plus the transaction's own writes — so reads
+    is an overlay ({!Stmt.overlay}) — the committed NFR snapshotted at
+    first touch (O(1): NFRs are persistent) plus the transaction's own
+    writes — so reads
     are repeatable, other sessions keep seeing committed state
     (writers never block readers), and ROLLBACK is a pure discard:
     table, WAL, statistics, generation and plan cache are all

@@ -5,7 +5,7 @@
     snapshots), the executor and the nest kernel charge the same
     registry the server exposes. A registry is a process-wide (or
     per-loop, in tests) bag of monotonic counters ([frames.in],
-    [wal.fsync_total], ...), float gauges ([connections.open],
+    [wal.sync_total], ...), float gauges ([connections.open],
     [storage.live_tuples]) and log-bucketed histograms of seconds
     ([query.seconds]), cheap enough to update on every frame.
 

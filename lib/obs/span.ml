@@ -24,7 +24,6 @@ type event =
   | Operator of string  (* the physical operator label *)
   | Txn of string  (* begin/commit/rollback/conflict *)
   | Wal_append
-  | Wal_fsync
   | Wal_sync
   | Wal_replay
   | Snapshot_write
@@ -46,7 +45,6 @@ let event_name = function
   | Operator _ -> "operator"
   | Txn _ -> "txn"
   | Wal_append -> "wal-append"
-  | Wal_fsync -> "wal-fsync"
   | Wal_sync -> "wal-sync"
   | Wal_replay -> "wal-replay"
   | Snapshot_write -> "snapshot-write"

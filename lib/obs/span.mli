@@ -26,7 +26,6 @@ type event =
   | Operator of string
   | Txn of string  (* begin/commit/rollback/conflict *)
   | Wal_append
-  | Wal_fsync  (** legacy name: the user-buffer flush inside {!Wal_append} *)
   | Wal_sync  (** a real [fsync] durability barrier ([Wal.sync]) *)
   | Wal_replay
   | Snapshot_write

@@ -115,7 +115,6 @@ let declare_series m =
       "connections.rejected"; "connections.closed"; "connections.reaped";
       "connections.reaped_in_txn"; "frames.in"; "frames.out";
       "wal.append_total"; "wal.flush_total"; "wal.sync_total";
-      "wal.fsync_total" (* deprecated alias of wal.flush_total *);
       "planner.cache_hit";
       "planner.cache_miss"; "planner.analyze"; "planner.auto_analyze";
       "txn.begin"; "txn.commit"; "txn.abort"; "txn.conflict";
@@ -132,7 +131,6 @@ let declare_series m =
   Metrics.declare_histogram m "planner.est_error";
   Metrics.declare_histogram m "loop.tick.seconds";
   Metrics.declare_histogram m "obs.scrape.seconds";
-  Metrics.declare_histogram m "wal.fsync.seconds";
   Metrics.declare_histogram m "wal.flush.seconds";
   Metrics.declare_histogram m "wal.sync.seconds";
   Metrics.declare_histogram m "wal.group_commit.batch_size";

@@ -327,7 +327,7 @@ type recovery_report = {
 
 (* Replay entries, skipping (and counting) any that cannot be applied —
    a delete whose insert was salvaged away, or a decoded-but-bogus
-   tuple from debris that slipped past a legacy checksum. Nothing in
+   tuple from debris that slipped past a checksum. Nothing in
    here may take the table down mid-recovery. Uncommitted transactional
    tails are folded away first and counted separately: discarding them
    is the contract, not damage. *)
@@ -380,7 +380,15 @@ let recover_salvage ?page_size ?synchronous ?ordered_on ?durable ~wal_path ~orde
   Obs.Span.with_span Obs.Span.Salvage wal_path @@ fun _ ->
   Obs.Registry.incr Obs.Registry.global "wal.recover_salvage_total";
   let salvage = Wal.replay_salvage wal_path in
-  let t = create ?page_size ~wal_path ?synchronous ?ordered_on ~order schema in
+  let t =
+    match create ?page_size ~wal_path ?synchronous ?ordered_on ~order schema with
+    | t -> t
+    | exception Storage_error.Error (Storage_error.Corrupt _) ->
+      (* A log without its header is never reopened for appending or
+         truncated: the table recovers without it, and the salvage
+         report's skipped bytes make it read-only below. *)
+      create ?page_size ?synchronous ?ordered_on ~order schema
+  in
   let applied, skipped_ops, discarded_txn_ops, discarded_txns =
     apply_salvaged ?durable t salvage.Wal.entries
   in
@@ -696,8 +704,7 @@ let checkpoint t =
 (* Snapshot format v1: magic "NF2SNAP1", then a CRC-32-protected body
    (varint WAL generation at save time, schema as degree + name/ty-tag
    pairs, nest order names, tuple count, tuples), then the CRC-32 of
-   the body little-endian. Legacy snapshots (no magic, no trailer,
-   no generation) still load. Writes go to [path ^ ".tmp"] and rename
+   the body little-endian. Writes go to [path ^ ".tmp"] and rename
    into place, so a crash mid-save never clobbers the old snapshot. *)
 let snapshot_magic = "NF2SNAP1"
 
@@ -772,25 +779,22 @@ let save_snapshot t path =
    errors on any damage; integrity is checked before anything is
    built. *)
 let parse_snapshot ?page_size ?wal_path ?synchronous ?ordered_on contents =
-  let generation, bytes =
-    if
-      String.length contents >= String.length snapshot_magic + 4
-      && String.sub contents 0 (String.length snapshot_magic) = snapshot_magic
-    then begin
-      let body_length = String.length contents - String.length snapshot_magic - 4 in
-      let stored = read_le32 contents (String.length contents - 4) in
-      let payload = String.sub contents (String.length snapshot_magic) body_length in
-      if Crc32.digest payload <> stored then
-        Storage_error.corrupt ~context:"Table.load_snapshot"
-          ~offset:(String.length contents - 4)
-          "checksum mismatch (torn or bit-flipped snapshot)";
-      let bytes = Bytes.of_string payload in
-      let generation, offset = Codec.decode_varint bytes 0 in
-      (generation, (bytes, offset))
-    end
-    else (0, (Bytes.of_string contents, 0))
-  in
-  let bytes, start = bytes in
+  if
+    not
+      (String.length contents >= String.length snapshot_magic + 4
+      && String.sub contents 0 (String.length snapshot_magic) = snapshot_magic)
+  then
+    Storage_error.corrupt ~context:"Table.load_snapshot" ~offset:0
+      "no NF2SNAP1 header (damaged, or not a snapshot)";
+  let body_length = String.length contents - String.length snapshot_magic - 4 in
+  let stored = read_le32 contents (String.length contents - 4) in
+  let payload = String.sub contents (String.length snapshot_magic) body_length in
+  if Crc32.digest payload <> stored then
+    Storage_error.corrupt ~context:"Table.load_snapshot"
+      ~offset:(String.length contents - 4)
+      "checksum mismatch (torn or bit-flipped snapshot)";
+  let bytes = Bytes.of_string payload in
+  let generation, start = Codec.decode_varint bytes 0 in
   let degree, offset = Codec.decode_varint bytes start in
   if degree = 0 then
     Storage_error.corrupt ~context:"Table.load_snapshot" ~offset:start "empty schema";

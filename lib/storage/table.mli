@@ -346,7 +346,7 @@ val load_snapshot :
     [wal_path] (if given) on top — the full recovery story: snapshot
     at the last checkpoint + the log since. A WAL whose generation is
     at or below the snapshot's is stale (already folded in) and is
-    skipped. Legacy un-checksummed snapshots still load.
+    skipped.
     @raise Storage_error.Error on a torn, bit-flipped or otherwise
     malformed snapshot, or on an inapplicable WAL entry. *)
 

@@ -12,12 +12,9 @@ type entry =
   | View_drop of string
   | Manifest_commit of { txid : int; tables : (string * int) list }
 
-type format = V0 | V1
-
 type t = {
   mutable channel : out_channel;
   mutable open_ : bool;
-  mutable format : format;
   mutable generation : int;
   mutable written_bytes : int;
       (* bytes handed to the channel since open (header included) *)
@@ -27,24 +24,15 @@ type t = {
   path : string;
 }
 
-(* v1 on-disk layout:
+(* On-disk layout:
      header  "NF2WALv1" (8 bytes) + varint generation
      frame   0xA7 marker + varint payload length + payload
              + CRC32(payload) little-endian (4 bytes)
    The generation increments on every truncation; snapshots record the
    generation they were cut against, which is what lets recovery tell
-   a fresh post-checkpoint log from a stale pre-checkpoint one.
-
-   v0 (legacy) has no header; frames are varint length + payload + a
-   1-byte additive checksum. [replay] still reads it; [open_log] keeps
-   appending v0 frames to a v0 file so one log never mixes formats. *)
+   a fresh post-checkpoint log from a stale pre-checkpoint one. *)
 let magic = "NF2WALv1"
 let frame_marker = '\xA7'
-
-let legacy_checksum payload =
-  let total = ref 0 in
-  String.iter (fun c -> total := (!total + Char.code c) land 0xFF) payload;
-  !total
 
 let encode_header generation =
   let buffer = Buffer.create 12 in
@@ -52,17 +40,19 @@ let encode_header generation =
   Codec.encode_varint buffer generation;
   Buffer.contents buffer
 
-(* (format, generation, offset of the first frame); [`Torn] when the
-   file starts with the magic but the generation varint is cut off. *)
+(* (generation, offset of the first frame); [`Torn] when a crash cut
+   the header short (a prefix of the magic, or the magic with its
+   generation varint cut off); [`Missing] when the file does not start
+   with the magic at all — damage at offset 0, never a fresh log. *)
 let parse_header bytes =
   let length = Bytes.length bytes in
-  if length >= String.length magic && Bytes.sub_string bytes 0 (String.length magic) = magic
-  then begin
+  let prefix = min length (String.length magic) in
+  if Bytes.sub_string bytes 0 prefix <> String.sub magic 0 prefix then `Missing
+  else if length < String.length magic then `Torn
+  else
     match Codec.decode_varint bytes (String.length magic) with
-    | generation, offset -> `V1 (generation, offset)
+    | generation, offset -> `Header (generation, offset)
     | exception Storage_error.Error _ -> `Torn
-  end
-  else `V0
 
 let read_file path =
   let channel = open_in_bin path in
@@ -150,19 +140,12 @@ let read_le32 bytes offset =
   let byte i = Char.code (Bytes.get bytes (offset + i)) in
   byte 0 lor (byte 1 lsl 8) lor (byte 2 lsl 16) lor (byte 3 lsl 24)
 
-let frame_v1 payload =
+let frame payload =
   let framed = Buffer.create (String.length payload + 10) in
   Buffer.add_char framed frame_marker;
   Codec.encode_varint framed (String.length payload);
   Buffer.add_string framed payload;
   add_le32 framed (Crc32.digest payload);
-  Buffer.contents framed
-
-let frame_v0 payload =
-  let framed = Buffer.create (String.length payload + 8) in
-  Codec.encode_varint framed (String.length payload);
-  Buffer.add_string framed payload;
-  Buffer.add_char framed (Char.chr (legacy_checksum payload));
   Buffer.contents framed
 
 (* Buffered append: the frame reaches the OS page cache (stdlib
@@ -173,10 +156,7 @@ let append t entry =
   if not t.open_ then raise (Storage_error.Error (Storage_error.Closed "Wal.append"));
   Obs.Span.with_span Obs.Span.Wal_append "wal.append" (fun span ->
       Failpoint.hit "wal.append.before";
-      let payload = encode_entry entry in
-      let framed =
-        match t.format with V1 -> frame_v1 payload | V0 -> frame_v0 payload
-      in
+      let framed = frame (encode_entry entry) in
       let registry = Obs.Registry.global in
       Obs.Registry.incr registry "wal.append_total";
       Obs.Registry.add registry "wal.bytes_total" (String.length framed);
@@ -193,20 +173,14 @@ let append t entry =
         t.written_bytes <- t.written_bytes + String.length prefix;
         flush t.channel;
         raise (Failpoint.Crashed "wal.append.frame"));
-      Obs.Span.with_span Obs.Span.Wal_fsync "wal.flush" (fun flush_span ->
-          flush t.channel;
-          Obs.Registry.incr registry "wal.flush_total";
-          (* Deprecated alias of wal.flush_total (this counter always
-             measured the user-buffer flush); dashboards migrate to
-             wal.flush_total / wal.sync_total. *)
-          Obs.Registry.incr registry "wal.fsync_total";
-          Obs.Registry.add_gauge registry "wal.bytes_unflushed"
-            (-.float_of_int (String.length framed));
-          Obs.Registry.add_gauge registry "wal.bytes_unsynced"
-            (float_of_int (String.length framed));
-          let elapsed = Obs.Span.now () -. flush_span.Obs.Span.start_s in
-          Obs.Registry.observe registry "wal.flush.seconds" elapsed;
-          Obs.Registry.observe registry "wal.fsync.seconds" elapsed);
+      let flush_start = Obs.Span.now () in
+      flush t.channel;
+      Obs.Registry.incr registry "wal.flush_total";
+      Obs.Registry.add_gauge registry "wal.bytes_unflushed"
+        (-.float_of_int (String.length framed));
+      Obs.Registry.add_gauge registry "wal.bytes_unsynced"
+        (float_of_int (String.length framed));
+      Obs.Registry.observe registry "wal.flush.seconds" (Obs.Span.now () -. flush_start);
       Failpoint.hit "wal.append.after")
 
 let unsynced_bytes t = t.written_bytes - t.synced_bytes
@@ -333,7 +307,6 @@ let decode_entry payload =
 
 type salvage = {
   entries : entry list;
-  format : format;
   generation : int;
   scanned_bytes : int;
   bytes_skipped : int;
@@ -344,7 +317,6 @@ type salvage = {
 let empty_salvage =
   {
     entries = [];
-    format = V1;
     generation = 0;
     scanned_bytes = 0;
     bytes_skipped = 0;
@@ -354,7 +326,7 @@ let empty_salvage =
 
 (* [Some (entry, next)] iff a complete, checksummed, decodable frame
    sits exactly at [offset]. Every parse failure means "no". *)
-let valid_frame_v1 bytes length offset =
+let valid_frame bytes length offset =
   if offset >= length || Bytes.get bytes offset <> frame_marker then None
   else
     match
@@ -372,27 +344,10 @@ let valid_frame_v1 bytes length offset =
     | result -> result
     | exception Storage_error.Error _ -> None
 
-let valid_frame_v0 bytes length offset =
-  if offset >= length then None
-  else
-    match
-      let payload_length, after = Codec.decode_varint bytes offset in
-      if payload_length <= 0 || after + payload_length + 1 > length then None
-      else begin
-        let payload = Bytes.sub_string bytes after payload_length in
-        let stored = Char.code (Bytes.get bytes (after + payload_length)) in
-        if stored <> legacy_checksum payload then None
-        else Some (decode_entry payload, after + payload_length + 1)
-      end
-    with
-    | result -> result
-    | exception Storage_error.Error _ -> None
-
 (* Scan ahead: on a bad frame, the first later offset holding a fully
-   valid frame (v1 additionally requires the marker byte, so almost
-   every offset is rejected in O(1); random debris only survives a
-   32-bit CRC with probability 2^-32, v0's additive byte let 1/256
-   of debris through — the false-positive path this replaces). *)
+   valid frame (the marker byte rejects almost every offset in O(1);
+   random debris only survives the 32-bit CRC with probability
+   2^-32). *)
 let scan_forward valid_frame length probe =
   let rec loop probe =
     if probe >= length then None
@@ -403,12 +358,8 @@ let scan_forward valid_frame length probe =
   in
   loop probe
 
-let salvage_frames bytes length start ~format ~generation =
-  let valid_frame =
-    match format with
-    | V1 -> valid_frame_v1 bytes length
-    | V0 -> valid_frame_v0 bytes length
-  in
+let salvage_frames bytes length start ~generation =
+  let valid_frame = valid_frame bytes length in
   let rec loop offset acc skipped first_bad =
     if offset >= length then (List.rev acc, skipped, first_bad, 0)
     else
@@ -423,7 +374,6 @@ let salvage_frames bytes length start ~format ~generation =
   let entries, bytes_skipped, first_bad_offset, torn_tail_bytes = loop start [] 0 None in
   {
     entries;
-    format;
     generation;
     scanned_bytes = length;
     bytes_skipped;
@@ -442,9 +392,17 @@ let replay_salvage path =
             let bytes = Bytes.of_string contents in
             let length = Bytes.length bytes in
             match parse_header bytes with
-            | `V1 (generation, offset) ->
-              salvage_frames bytes length offset ~format:V1 ~generation
-            | `V0 -> salvage_frames bytes length 0 ~format:V0 ~generation:0
+            | `Header (generation, offset) ->
+              salvage_frames bytes length offset ~generation
+            | `Missing ->
+              (* Nothing in a file without the header is trusted: the
+                 whole of it is damage, starting at offset 0. *)
+              {
+                empty_salvage with
+                scanned_bytes = length;
+                bytes_skipped = length;
+                first_bad_offset = Some 0;
+              }
             | `Torn ->
               {
                 empty_salvage with
@@ -468,8 +426,8 @@ let replay path =
     Storage_error.corrupt ~context:"Wal.replay"
       ~offset:(Option.value ~default:0 salvage.first_bad_offset)
       (Printf.sprintf
-         "corrupt entry mid-log (%d bytes skipped before a later valid frame); use \
-          replay_salvage to recover around it"
+         "corrupt log (%d damaged bytes before the end); use replay_salvage to \
+          recover around them"
          salvage.bytes_skipped)
   else salvage.entries
 
@@ -482,8 +440,13 @@ let open_log path =
   let fresh =
     existing = ""
     ||
+    match parse_header (Bytes.of_string existing) with
     (* A torn header means nothing after it can be valid either. *)
-    parse_header (Bytes.of_string existing) = `Torn
+    | `Torn -> true
+    | `Header _ -> false
+    | `Missing ->
+      Storage_error.corrupt ~context:"Wal.open_log" ~offset:0
+        "no NF2WALv1 header (damaged, or not a log)"
   in
   (* Whatever the file holds once opening completes is the durable
      baseline: fsync it so the watermark claim ("synced bytes survive
@@ -499,12 +462,12 @@ let open_log path =
     output_string channel (encode_header 1);
     settle channel;
     let size = String.length (encode_header 1) in
-    { channel; open_ = true; format = V1; generation = 1;
+    { channel; open_ = true; generation = 1;
       written_bytes = size; synced_bytes = size; path }
   end
   else begin
     let salvage = replay_salvage path in
-    let format = salvage.format and generation = salvage.generation in
+    let generation = salvage.generation in
     if salvage.torn_tail_bytes > 0 then begin
       (* A crash tore the last frame. Appending after the debris would
          bury it mid-log, so trim back to the last frame boundary; the
@@ -515,7 +478,7 @@ let open_log path =
       in
       output_string channel keep;
       settle channel;
-      { channel; open_ = true; format; generation;
+      { channel; open_ = true; generation;
         written_bytes = String.length keep; synced_bytes = String.length keep;
         path }
     end
@@ -525,7 +488,7 @@ let open_log path =
       in
       settle channel;
       let size = String.length existing in
-      { channel; open_ = true; format; generation;
+      { channel; open_ = true; generation;
         written_bytes = size; synced_bytes = size; path }
     end
   end
@@ -558,7 +521,6 @@ let truncate t =
   let generation = t.generation + 1 in
   write_truncated t.path generation;
   t.channel <- open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 t.path;
-  t.format <- V1;
   t.generation <- generation;
   let size = String.length (encode_header generation) in
   t.written_bytes <- size;

@@ -8,15 +8,14 @@
 
     {2 On-disk format}
 
-    v1 files start with a header (magic ["NF2WALv1"] + a varint
-    {e generation}) and hold frames of [0xA7 marker, varint length,
+    A log starts with a header (magic ["NF2WALv1"] + a varint
+    {e generation}) and holds frames of [0xA7 marker, varint length,
     payload, CRC-32]. The generation increments on every truncation
     ({!reset}/{!truncate}); {!Table.save_snapshot} records it, which
     is how recovery distinguishes a fresh post-checkpoint log from a
-    stale pre-checkpoint one. The legacy v0 format (no header, 1-byte
-    additive checksum) is still replayed transparently, and
-    {!open_log} keeps appending v0 frames to a v0 file so a single
-    log never mixes formats.
+    stale pre-checkpoint one. A file that does not start with the
+    magic is damaged at offset 0: it is never replayed, and never
+    reopened or truncated as if it were fresh.
 
     {2 Durability contract}
 
@@ -56,20 +55,19 @@ type entry =
           [Txn_commit] is {e provisional} until the manifest record
           that names it is synced. *)
 
-type format = V0  (** legacy: unframed, 1-byte additive checksum *)
-            | V1  (** current: header + marker/CRC-32 frames *)
-
 type t
 (** An open log handle (append mode). *)
 
 val open_log : string -> t
-(** Opens (creating if absent) for appending. A fresh file gets a v1
-    header at generation 1; an existing v0 file stays v0. A torn final
-    frame (crash debris) is trimmed back to the last frame boundary so
-    new appends never land mid-log behind it. *)
+(** Opens (creating if absent) for appending. A fresh file gets a
+    header at generation 1, as does one whose header a crash tore. A
+    torn final frame (crash debris) is trimmed back to the last frame
+    boundary so new appends never land mid-log behind it.
+    @raise Storage_error.Error [(Corrupt _)] at offset 0 when a
+    non-empty file lacks the header. *)
 
 val generation : t -> int
-(** The log's current generation (0 for legacy v0 files). *)
+(** The log's current generation. *)
 
 val append : t -> entry -> unit
 (** Encode, frame, write, flush to the OS page cache. {b Not} durable
@@ -115,8 +113,7 @@ val replay : string -> entry list
 (** The structured result of a salvage scan. *)
 type salvage = {
   entries : entry list;  (** every decodable entry, in write order *)
-  format : format;
-  generation : int;  (** 0 for v0 or when the header is unreadable *)
+  generation : int;  (** 0 when the header is unreadable *)
   scanned_bytes : int;  (** file size *)
   bytes_skipped : int;  (** mid-log debris skipped over *)
   first_bad_offset : int option;
@@ -130,18 +127,17 @@ val replay_salvage : string -> salvage
 (** Scan-ahead salvage: never raises on corrupt input. On a bad frame
     it scans forward for the next structurally valid, CRC-checked
     frame, counts the skipped bytes, and carries on; trailing debris
-    is reported as a torn tail. A missing file yields an empty clean
-    report. *)
+    is reported as a torn tail. A file without the header yields no
+    entries and counts every byte as skipped from offset 0. A missing
+    file yields an empty clean report. *)
 
 val reset : string -> unit
-(** Truncate the log to an empty v1 file at the next generation
-    (after a checkpoint). Safe to call on a path whose handle is
-    still open {e only} for v1 handles — the open handle appends in
-    v1 framing past the rewritten header. For a handle-aware
-    truncation (and the only correct way to reset a v0-format
-    handle), use {!truncate}. *)
+(** Truncate the log to an empty file at the next generation (after a
+    checkpoint). Safe to call on a path whose handle is still open —
+    the open handle appends past the rewritten header. For a
+    handle-aware truncation, use {!truncate}. *)
 
 val truncate : t -> unit
 (** Truncate through the handle: bumps the generation, rewrites the
-    header, and re-points the handle (upgrading a v0 handle to v1).
+    header, and re-points the handle.
     @raise Storage_error.Error [(Closed _)] after {!close}. *)

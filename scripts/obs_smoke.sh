@@ -64,12 +64,11 @@ sleep 2.2
 # The scrape: byte-validates the exposition through the registry's
 # own parser and insists on the required series by prefix. The list
 # covers the honest flush/sync split (nf2_wal_flush_total and
-# nf2_wal_sync_total are distinct series; nf2_wal_fsync_total is the
-# kept deprecated alias of the flush series), the buffer-pool ledger,
+# nf2_wal_sync_total are distinct series), the buffer-pool ledger,
 # and the self-monitoring loop (tick histogram, scrape cost, history
 # series gauge).
 "$CLI" metrics --port "$port" \
-    --require nf2_query_seconds,nf2_wal_flush_total,nf2_wal_sync_total,nf2_wal_fsync_total,nf2_pool_hit,nf2_pool_miss,nf2_connections_rejected,nf2_view_deltas_total,nf2_loop_tick_seconds,nf2_obs_scrape_seconds,nf2_obs_history_series \
+    --require nf2_query_seconds,nf2_wal_flush_total,nf2_wal_sync_total,nf2_pool_hit,nf2_pool_miss,nf2_connections_rejected,nf2_view_deltas_total,nf2_loop_tick_seconds,nf2_obs_scrape_seconds,nf2_obs_history_series \
     > "$workdir/scrape.txt" || {
     echo "obs_smoke: metrics scrape failed:" >&2
     cat "$workdir/scrape.txt" >&2

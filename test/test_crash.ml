@@ -293,10 +293,8 @@ let test_bit_flip_matrix () =
           || salvage.Wal.torn_tail_bytes > 0
           || salvage.Wal.first_bad_offset <> None
           || report.Table.skipped_ops > 0
-          (* Header flips change the log's identity rather than a
-             frame: a corrupted magic demotes the parse to v0, a
-             corrupted generation varint shows up directly. *)
-          || salvage.Wal.format = Wal.V0
+          (* A corrupted generation varint changes the log's identity
+             rather than a frame. *)
           || salvage.Wal.generation <> 1
         in
         if not (Relation.equal (flat recovered) golden || damage_visible) then

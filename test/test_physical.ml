@@ -220,39 +220,80 @@ let test_txn_differential () =
   check "select * from sc";
   check "select * from sc where Student = 'sX'"
 
-(* Transaction statement errors agree across back ends: COMMIT and
-   ROLLBACK outside a transaction, BEGIN twice, DDL inside one. *)
+(* The [Eval_error] text a statement raises, if any; any other
+   exception escapes and fails the test. *)
+let error_text run q =
+  match run q with
+  | _ -> None
+  | exception Eval.Eval_error msg -> Some msg
+
+let check_same_error (logical, physical) q =
+  let expected = error_text (Eval.exec_string logical) q in
+  Alcotest.(check bool) (Printf.sprintf "%s is rejected" q) true (expected <> None);
+  Alcotest.(check (option string))
+    (Printf.sprintf "same error for %s" q)
+    expected
+    (error_text (Physical.exec_string physical) q)
+
+let check_same_done dbs q =
+  match both_run dbs q with
+  | Eval.Done a, Eval.Done b, _ -> Alcotest.(check string) q a b
+  | _ -> Alcotest.failf "expected an acknowledgement for %s" q
+
+(* Transaction statement errors agree across back ends, text included:
+   COMMIT and ROLLBACK outside a transaction, BEGIN twice, DDL and
+   EXPLAIN ANALYZE inside one. *)
 let test_txn_errors_differential () =
-  let logical, physical = setup ~rows:10 () in
-  let errors_on_both q =
-    let logical_raises =
-      match Eval.exec_string logical q with
-      | _ -> false
-      | exception Eval.Eval_error _ -> true
-    in
-    let physical_raises =
-      match Physical.exec_string physical q with
-      | _ -> false
-      | exception Eval.Eval_error _ -> true
-    in
-    Alcotest.(check (pair bool bool))
-      (Printf.sprintf "both back ends reject %s" q)
-      (true, true)
-      (logical_raises, physical_raises)
-  in
-  errors_on_both "commit";
-  errors_on_both "rollback";
-  ignore (Eval.exec_string logical "begin");
-  ignore (Physical.exec_string physical "begin");
-  errors_on_both "begin";
-  errors_on_both "create table u (X string)";
-  errors_on_both "drop table sc";
+  let dbs = setup ~rows:10 () in
+  let run q = ignore (both_run dbs q) in
+  check_same_error dbs "commit";
+  check_same_error dbs "rollback";
+  run "begin";
+  check_same_error dbs "begin";
+  check_same_error dbs "create table u (X string)";
+  check_same_error dbs "drop table sc";
+  check_same_error dbs "explain analyze select * from sc";
   (* The failed statements left the transactions open and intact. *)
-  ignore (Eval.exec_string logical "rollback");
-  ignore (Physical.exec_string physical "rollback");
+  check_same_done dbs "insert into sc values ('sX','cX','t1')";
+  run "rollback";
   List.iter
-    (fun q -> check_same_rows q (both_run (logical, physical) q))
+    (fun q -> check_same_rows q (both_run dbs q))
     [ "select * from sc" ]
+
+(* Type mismatches raise the same [Eval_error] on both back ends —
+   never [Invalid_argument] or [Schema_error] — whether or not the
+   UPDATE matches a row, and inside a transaction too. *)
+let test_type_errors_differential () =
+  let dbs = (Eval.create (), Physical.create ()) in
+  let run q = ignore (both_run dbs q) in
+  check_same_error dbs "create table u (A int, B int) order A";
+  run "create table n (A int, B int)";
+  run "insert into n values (1, 2)";
+  check_same_error dbs "update n set A = 'x' where B = 2";
+  check_same_error dbs "update n set A = 'x' where B = 99";
+  run "begin";
+  check_same_error dbs "update n set A = 'x' where B = 2";
+  check_same_error dbs "update n set A = 'x' where B = 99";
+  run "rollback"
+
+(* Acknowledgement texts agree, a duplicate INSERT row included, in
+   autocommit and inside a transaction. *)
+let test_done_text_differential () =
+  let dbs = setup ~rows:10 () in
+  let check_all () =
+    List.iter (check_same_done dbs)
+      [
+        "insert into sc values ('sY','cY','t1'), ('sY','cY','t1')";
+        "insert into sc values ('sY','cY','t1')";
+        "update sc set Semester = 't2' where Student = 'sY'";
+        "delete from sc values ('sY','cY','t2')";
+        "delete from sc where Student = 'student1'";
+      ]
+  in
+  check_all ();
+  check_same_done dbs "begin";
+  check_all ();
+  check_same_done dbs "commit"
 
 let test_physical_table_stays_canonical () =
   let physical = Physical.create () in
@@ -472,6 +513,10 @@ let () =
           Alcotest.test_case "transactions agree" `Quick test_txn_differential;
           Alcotest.test_case "transaction errors agree" `Quick
             test_txn_errors_differential;
+          Alcotest.test_case "type errors agree" `Quick
+            test_type_errors_differential;
+          Alcotest.test_case "acknowledgements agree" `Quick
+            test_done_text_differential;
         ] );
       ( "dml",
         [

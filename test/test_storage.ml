@@ -475,8 +475,8 @@ let flip_bit s position =
     (Char.chr (Char.code (Bytes.get damaged position) lxor 0x10));
   Bytes.to_string damaged
 
-(* A legacy v0 frame: varint length + payload + 1-byte additive
-   checksum — what the pre-CRC log format wrote. *)
+(* A pre-CRC frame: varint length + payload + 1-byte additive
+   checksum — debris that a weak checksum would accept. *)
 let v0_frame tag tuple =
   let payload = Buffer.create 32 in
   Buffer.add_char payload tag;
@@ -502,26 +502,62 @@ let test_wal_v1_header () =
       let salvage = Wal.replay_salvage path in
       Alcotest.(check int) "one entry" 1 (List.length salvage.Wal.entries);
       Alcotest.(check int) "generation read back" 1 salvage.Wal.generation;
-      Alcotest.(check bool) "v1 format" true (salvage.Wal.format = Wal.V1);
       Alcotest.(check int) "nothing skipped" 0 salvage.Wal.bytes_skipped;
       Alcotest.(check int) "no torn tail" 0 salvage.Wal.torn_tail_bytes)
 
-let test_wal_legacy_v0 () =
+(* One flipped bit in the magic makes the whole log damage at offset
+   0: nothing is replayed in another format, and neither opening the
+   log nor recovering the table truncates it as if it were fresh. *)
+let test_wal_bad_magic () =
   with_temp_file (fun path ->
-      let t1 = row schema2 [ "a1"; "b1" ] and t2 = row schema2 [ "a2"; "b2" ] in
-      write_all path (v0_frame 'I' t1);
-      (match Wal.replay path with
-      | [ Wal.Insert r ] -> Alcotest.check tuple_testable "legacy entry" t1 r
-      | entries -> Alcotest.failf "expected 1 entry, got %d" (List.length entries));
-      Alcotest.(check bool) "detected as v0" true
-        ((Wal.replay_salvage path).Wal.format = Wal.V0);
-      (* Appending keeps the legacy framing: one log never mixes formats. *)
+      Sys.remove path;
       let wal = Wal.open_log path in
-      Wal.append wal (Wal.Insert t2);
+      Wal.append wal (Wal.Insert (row schema2 [ "a1"; "b1" ]));
+      Wal.append wal (Wal.Insert (row schema2 [ "a2"; "b2" ]));
       Wal.close wal;
-      Alcotest.(check int) "both entries replay" 2 (List.length (Wal.replay path));
-      Alcotest.(check bool) "still v0" true
-        ((Wal.replay_salvage path).Wal.format = Wal.V0))
+      let damaged = flip_bit (read_all path) 3 in
+      write_all path damaged;
+      let salvage = Wal.replay_salvage path in
+      Alcotest.(check int) "no entries" 0 (List.length salvage.Wal.entries);
+      Alcotest.(check (option int)) "damage at offset 0" (Some 0)
+        salvage.Wal.first_bad_offset;
+      Alcotest.(check int) "every byte skipped" (String.length damaged)
+        salvage.Wal.bytes_skipped;
+      let corrupt_at_zero f =
+        match f () with
+        | exception Storage_error.Error (Storage_error.Corrupt { offset = 0; _ }) -> true
+        | _ -> false
+      in
+      Alcotest.(check bool) "strict replay refuses" true
+        (corrupt_at_zero (fun () -> ignore (Wal.replay path)));
+      Alcotest.(check bool) "open refuses" true
+        (corrupt_at_zero (fun () -> ignore (Wal.open_log path)));
+      let table, _ =
+        Table.recover_salvage ~wal_path:path
+          ~order:(Schema.attributes schema2) schema2
+      in
+      Alcotest.(check bool) "recovered read-only" true
+        (match Table.health table with Table.Degraded _ -> true | Table.Healthy -> false);
+      Table.close table;
+      Alcotest.(check string) "log left as found" damaged (read_all path))
+
+(* A snapshot without the NF2SNAP1 header and CRC trailer (the old
+   un-checksummed layout) is a typed error, not data. *)
+let test_snapshot_without_header () =
+  with_temp_file (fun path ->
+      let table =
+        Table.load ~order:(Schema.attributes schema2)
+          (Relation.of_strings schema2 [ [ "a1"; "b1" ] ])
+      in
+      Table.save_snapshot table path;
+      let contents = read_all path in
+      (* Drop the magic, the generation varint (one byte: 0) and the
+         CRC trailer. *)
+      write_all path (String.sub contents 9 (String.length contents - 13));
+      Alcotest.(check bool) "typed Corrupt at offset 0" true
+        (match Table.load_snapshot path with
+        | exception Storage_error.Error (Storage_error.Corrupt { offset = 0; _ }) -> true
+        | _ -> false))
 
 let test_wal_append_after_close () =
   with_temp_file (fun path ->
@@ -1032,8 +1068,10 @@ let () =
       ( "durability",
         [
           Alcotest.test_case "WAL v1 header" `Quick test_wal_v1_header;
-          Alcotest.test_case "legacy v0 replay and append" `Quick
-            test_wal_legacy_v0;
+          Alcotest.test_case "WAL without header is damage" `Quick
+            test_wal_bad_magic;
+          Alcotest.test_case "snapshot without header is damage" `Quick
+            test_snapshot_without_header;
           Alcotest.test_case "append after close" `Quick
             test_wal_append_after_close;
           Alcotest.test_case "mid-log salvage" `Quick test_wal_midlog_salvage;
