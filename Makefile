@@ -1,4 +1,4 @@
-.PHONY: all build test test-force crashtest servesmoke obssmoke obsbench obsgate histbench netbench netsmoke replbench replsmoke plannerbench txnbench poolbench viewbench viewsmoke bench benchsmoke reports timings examples doc clean loc
+.PHONY: all build test test-force crashtest servesmoke obssmoke bench reports timings examples doc clean loc
 
 # Every suite (Slow cases included) runs under `make test`. crashtest
 # reruns the crash matrix alone, with a fixed seed so a failing cell
@@ -23,70 +23,13 @@ crashtest:
 servesmoke: build
 	scripts/server_smoke.sh
 
-# Observability: the end-to-end Prometheus scrape smoke and the
-# tracing-overhead bench (writes BENCH_obs.json).
+# Observability: the end-to-end Prometheus scrape smoke. The
+# tracing-overhead bound runs under `dune runtest` (test_obs).
 obssmoke: build
 	scripts/obs_smoke.sh
 
-obsbench:
-	dune exec bench/main.exe -- obs
-
-# Overhead gate: exits non-zero when tracing overhead exceeds
-# max(5%, the measured run-to-run noise floor).
-obsgate:
-	dune exec bench/main.exe -- obsgate
-
-# Metrics history: the self-monitoring cost bench
-# (writes BENCH_hist.json).
-histbench:
-	dune exec bench/main.exe -- hist
-
-netbench:
-	dune exec bench/main.exe -- net
-
-netsmoke:
-	dune exec bench/main.exe -- netsmoke
-
-# Replication bench: primary throughput alone vs with a live replica,
-# drain time and steady-state lag (writes BENCH_repl.json). replsmoke
-# is the fast CI variant.
-replbench:
-	dune exec bench/main.exe -- repl
-
-replsmoke:
-	dune exec bench/main.exe -- replsmoke
-
-# Planner micro-bench: plan-cache speedup and estimation error on a
-# Zipf-skewed table (writes BENCH_planner.json).
-plannerbench:
-	dune exec bench/main.exe -- planner
-
-# Transaction micro-bench: autocommit vs batched-transaction write
-# throughput and abort overhead (writes BENCH_txn.json).
-txnbench:
-	dune exec bench/main.exe -- txn
-
-# Buffer-pool micro-bench: Zipf hit rate, scan throughput, and the
-# repeated-probe plan flip (writes BENCH_pool.json).
-poolbench:
-	dune exec bench/main.exe -- pool
-
-# View-maintenance bench: per-insert incremental cost vs full renest
-# across 10^4..10^6 base rows (writes BENCH_views.json). viewsmoke is
-# the fast CI variant at 10^3..10^4.
-viewbench:
-	dune exec bench/main.exe -- views
-
-viewsmoke:
-	dune exec bench/main.exe -- viewsmoke
-
 bench:
 	dune exec bench/main.exe
-
-# CI subset: no Bechamel timing runs, just the reports that drive the
-# physical executor end to end (E9 + per-operator EXPLAIN ANALYZE).
-benchsmoke:
-	dune exec bench/main.exe -- smoke
 
 reports:
 	dune exec bench/main.exe -- reports

@@ -5,7 +5,6 @@
      dune exec bench/main.exe            reports + timings
      dune exec bench/main.exe -- reports reports only
      dune exec bench/main.exe -- timings timings only
-     dune exec bench/main.exe -- smoke   CI subset (E9 + per-operator)
 *)
 
 open Relational
@@ -268,132 +267,12 @@ let run_timings () =
       Format.printf "%-44s %16s@." name pretty)
     sorted
 
-(* Durability pricing for the smoke artifact: the same insert stream
-   against an honest per-commit fsync and against flush-only appends
-   with one fsync per [group] commits — the storage-layer view of what
-   the server's group-commit loop amortizes. *)
-let run_wal_smoke () =
-  let schema = Schema.strings [ "A"; "B"; "C" ] in
-  let order = Schema.attributes schema in
-  (* Distinct leading attributes per row: the canonical order nests on
-     equal prefixes, and one giant nested record would outgrow a page. *)
-  let tuple i =
-    Tuple.make schema
-      [
-        Value.of_string (Printf.sprintf "wal%05d" i);
-        Value.of_string "bench";
-        Value.of_string (Printf.sprintf "row%05d" i);
-      ]
-  in
-  let with_wal f =
-    let wal_path = Filename.temp_file "walsmoke" ".wal" in
-    Fun.protect
-      ~finally:(fun () -> try Sys.remove wal_path with Sys_error _ -> ())
-      (fun () -> f wal_path)
-  in
-  (* Modest row count: the canonical store's own insert cost grows
-     with table size and would otherwise swamp the durability delta
-     this comparison is pricing. *)
-  let rows = 800 in
-  let group = 64 in
-  (* Best of three trials per mode: one fsync hiccup (journal flush,
-     unrelated disk traffic) would otherwise swing the ratio. *)
-  let best_of_3 run =
-    List.fold_left min infinity (List.init 3 (fun _ -> run ()))
-  in
-  let fsync_s =
-    best_of_3 (fun () ->
-        with_wal (fun wal_path ->
-            let table = Storage.Table.create ~wal_path ~order schema in
-            let t0 = Unix.gettimeofday () in
-            for i = 1 to rows do
-              ignore (Storage.Table.insert table (tuple i))
-            done;
-            Unix.gettimeofday () -. t0))
-  in
-  let group_s =
-    best_of_3 (fun () ->
-        with_wal (fun wal_path ->
-            let table =
-              Storage.Table.create ~wal_path ~synchronous:false ~order schema
-            in
-            let t0 = Unix.gettimeofday () in
-            for i = 1 to rows do
-              ignore (Storage.Table.insert table (tuple i));
-              if i mod group = 0 then Storage.Table.sync_wal table
-            done;
-            Storage.Table.sync_wal table;
-            Unix.gettimeofday () -. t0))
-  in
-  let ops elapsed = float_of_int rows /. elapsed in
-  Format.printf
-    "wal: fsync-per-commit %.0f ops/s, group(%d) %.0f ops/s (%.1fx)@."
-    (ops fsync_s) group (ops group_s) (fsync_s /. group_s);
-  Printf.sprintf
-    "{\"rows\":%d,\"group\":%d,\"fsync_per_commit_s\":%.6f,\
-     \"fsync_per_commit_ops\":%.0f,\"group_commit_s\":%.6f,\
-     \"group_commit_ops\":%.0f,\"speedup\":%.2f}"
-    rows group fsync_s (ops fsync_s) group_s (ops group_s) (fsync_s /. group_s)
-
-(* The benchsmoke artifact: a quick closed-loop latency pass over the
-   physical executor's three access paths plus the WAL durability
-   pricing, written to BENCH_smoke.json (ops/s, exact percentiles,
-   summed access-path cost, fsync-vs-group-commit ratio). *)
-let run_smoke_bench () =
-  let db = Lazy.force physical_db in
-  let statements =
-    [
-      "select * from sc where Student = 'student1'";
-      "select * from sc where Student >= 'student1' and Student <= 'student2'";
-      "select * from sc";
-    ]
-  in
-  let iters = 100 in
-  let latencies = ref [] in
-  let total_stats = Storage.Stats.create () in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to iters do
-    List.iter
-      (fun source ->
-        let started = Unix.gettimeofday () in
-        List.iter
-          (fun (_, stats) -> Storage.Stats.add total_stats stats)
-          (Nfql.Physical.exec_string db source);
-        latencies := (Unix.gettimeofday () -. started) :: !latencies)
-      statements
-  done;
-  let elapsed = Unix.gettimeofday () -. t0 in
-  let ops = iters * List.length statements in
-  let q p = Obs.Registry.quantile !latencies p in
-  Bench_out.write "smoke"
-    (Printf.sprintf
-       "{\"ops\":%d,\"elapsed_s\":%.3f,\"throughput_ops\":%.0f,\"p50_s\":%.6f,\
-        \"p95_s\":%.6f,\"p99_s\":%.6f,\"cost\":%s,\"wal\":%s}"
-       ops elapsed
-       (float_of_int ops /. elapsed)
-       (q 0.5) (q 0.95) (q 0.99)
-       (Storage.Stats.to_json total_stats)
-       (run_wal_smoke ()))
-
 let () =
   let mode = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
-  if mode = "smoke" then begin
-    Bench_reports.Reports.run_smoke ();
-    run_smoke_bench ()
+  if not (List.mem mode [ "reports"; "timings"; "all" ]) then begin
+    prerr_endline "usage: main.exe [reports | timings | all]";
+    exit 2
   end;
   if mode = "reports" || mode = "all" then Bench_reports.Reports.run_all ();
-  if mode = "net" then Netbench.run ();
-  if mode = "netsmoke" then Netbench.run ~conns:4 ~ops:300 ();
-  if mode = "repl" then Replbench.run ();
-  if mode = "replsmoke" then Replbench.run ~conns:4 ~ops:300 ();
-  if mode = "obs" then Obsbench.run ();
-  if mode = "obsgate" then Obsbench.run ~gate:true ();
-  if mode = "hist" then Histbench.run ();
-  if mode = "planner" then Plannerbench.run ();
-  if mode = "txn" then Txnbench.run ();
-  if mode = "pool" then Poolbench.run ();
-  if mode = "views" then Viewbench.run ();
-  if mode = "viewsmoke" then
-    Viewbench.run ~sizes:[ 1_000; 10_000 ] ~probes:50 ();
   if mode = "timings" || mode = "all" then run_timings ();
   Format.printf "@.done.@."

@@ -865,9 +865,3 @@ let run_all () =
   x2_minimum ();
   x3_access_paths ();
   x4_recovery ()
-
-(* Quick subset for CI: the two reports that exercise the physical
-   executor end to end, small enough to run on every push. *)
-let run_smoke () =
-  e9_search_space ();
-  e9b_operator_breakdown ()

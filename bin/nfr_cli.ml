@@ -759,7 +759,7 @@ let serve_cmd =
     in
     let loop =
       try
-        Server.Loop.create ~config ~metrics:Server.Metrics.global ~on_shutdown
+        Server.Loop.create ~config ~metrics:Obs.Registry.global ~on_shutdown
           ~db ~listen:(`Port port) ()
       with Unix.Unix_error (err, _, _) ->
         or_die

@@ -331,9 +331,6 @@ val plan : db -> Ast.select -> plan
 (** The plan {!exec} would run for this SELECT, through the LRU plan
     cache (charging [planner.cache_hit] / [planner.cache_miss]). *)
 
-val plan_uncached : db -> Ast.select -> plan
-(** {!plan} bypassing the cache — the bench's baseline. *)
-
 val chosen_path : db -> Ast.select -> access_path
 (** [(plan db s).plan_path]. *)
 

@@ -83,10 +83,11 @@ let close_conn t conn =
   if not (Session.closed conn.session) then begin
     Session.close conn.session;
     (try Unix.close conn.fd with Unix.Unix_error _ -> ());
-    Metrics.incr (metrics t) "connections.closed";
+    Obs.Registry.incr (metrics t) "connections.closed";
     t.conns <- List.filter (fun c -> c != conn) t.conns;
     t.conn_count <- t.conn_count - 1;
-    Metrics.set_gauge (metrics t) "connections.open" (float_of_int t.conn_count)
+    Obs.Registry.set_gauge (metrics t) "connections.open"
+      (float_of_int t.conn_count)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -157,10 +158,10 @@ let handle_upstream t up message =
   | Protocol.Repl_entry event -> (
     match Nfql.Physical.apply_repl_event (Session.context_db t.ctx) event with
     | () ->
-      Metrics.incr m "repl.entries_applied";
+      Obs.Registry.incr m "repl.entries_applied";
       (* Lag against the primary's emission clock (wall time on both
          ends — the stamp is Unix.gettimeofday there too). *)
-      Metrics.set_gauge m "replica.lag_seconds"
+      Obs.Registry.set_gauge m "replica.lag_seconds"
         (max 0. (Unix.gettimeofday () -. event.Nfql.Physical.r_time));
       stage_upstream_out up
         (Protocol.encode_string
@@ -170,11 +171,11 @@ let handle_upstream t up message =
       (* The stream no longer matches our state — applying further
          entries would diverge silently. Detach; a resubscribe
          re-bootstraps from scratch. *)
-      Metrics.incr m "repl.apply_errors";
+      Obs.Registry.incr m "repl.apply_errors";
       detach_upstream t)
   | Protocol.Done _ -> ()  (* subscription ack *)
   | Protocol.Err (_, _) ->
-    Metrics.incr m "repl.upstream_errors";
+    Obs.Registry.incr m "repl.upstream_errors";
     detach_upstream t
   | _ -> ()
 
@@ -187,7 +188,7 @@ let rec parse_upstream t up =
     with
     | Protocol.Need_more -> ()
     | Protocol.Oversized _ | Protocol.Malformed _ ->
-      Metrics.incr (metrics t) "repl.upstream_errors";
+      Obs.Registry.incr (metrics t) "repl.upstream_errors";
       detach_upstream t
     | Protocol.Msg (message, consumed) ->
       Bytes.blit up.ubuf consumed up.ubuf 0 (up.ulen - consumed);
@@ -205,7 +206,7 @@ let read_upstream t up =
     | exception Unix.Unix_error (_, _, _) | 0 ->
       (* Primary gone. Stay up (and read-only): reads keep serving
          from the last applied state; a Promote detaches for good. *)
-      Metrics.incr (metrics t) "repl.upstream_lost";
+      Obs.Registry.incr (metrics t) "repl.upstream_lost";
       detach_upstream t;
       continue := false
     | n ->
@@ -231,7 +232,7 @@ let write_upstream t up =
           Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
         continue := false
       | exception Unix.Unix_error (_, _, _) ->
-        Metrics.incr (metrics t) "repl.upstream_lost";
+        Obs.Registry.incr (metrics t) "repl.upstream_lost";
         detach_upstream t;
         continue := false
       | n -> up.upending_pos <- up.upending_pos + n
@@ -282,8 +283,8 @@ let accept_new t =
       Unix.set_nonblock fd;
       let config = Session.context_config t.ctx in
       if t.conn_count >= config.Session.max_connections then begin
-        Metrics.incr (metrics t) "connections.rejected";
-        Metrics.incr (metrics t) "errors.overloaded";
+        Obs.Registry.incr (metrics t) "connections.rejected";
+        Obs.Registry.incr (metrics t) "errors.overloaded";
         write_once fd
           (Protocol.encode_string
              (Protocol.Err
@@ -293,12 +294,13 @@ let accept_new t =
         try Unix.close fd with Unix.Unix_error _ -> ()
       end
       else begin
-        Metrics.incr (metrics t) "connections.accepted";
+        Obs.Registry.incr (metrics t) "connections.accepted";
         t.next_id <- t.next_id + 1;
         t.conns <-
           { fd; session = Session.create t.ctx ~id:t.next_id } :: t.conns;
         t.conn_count <- t.conn_count + 1;
-        Metrics.set_gauge (metrics t) "connections.open" (float_of_int t.conn_count)
+        Obs.Registry.set_gauge (metrics t) "connections.open"
+          (float_of_int t.conn_count)
       end
   done
 
@@ -348,10 +350,11 @@ let observe_tick t ~now =
   let config = Session.context_config t.ctx in
   if t.last_tick_at > neg_infinity then begin
     let tick = now -. t.last_tick_at in
-    Metrics.observe m "loop.tick.seconds" tick;
-    Metrics.set_gauge m "loop.lag" (max 0. (tick -. config.Session.tick_interval));
+    Obs.Registry.observe m "loop.tick.seconds" tick;
+    Obs.Registry.set_gauge m "loop.lag"
+      (max 0. (tick -. config.Session.tick_interval));
     if tick > 2. *. config.Session.tick_interval then
-      Metrics.incr m "loop.stalls_total"
+      Obs.Registry.incr m "loop.stalls_total"
   end;
   t.last_tick_at <- now;
   if now -. t.last_scrape_at >= config.Session.scrape_interval then begin

@@ -27,7 +27,7 @@ type t
 
 val create :
   ?config:Session.config ->
-  ?metrics:Metrics.t ->
+  ?metrics:Obs.Registry.t ->
   ?now:(unit -> float) ->
   ?on_shutdown:(unit -> unit) ->
   db:Nfql.Physical.db ->
@@ -41,7 +41,7 @@ val create :
     process-wide. @raise Unix.Unix_error when binding fails. *)
 
 val port : t -> int
-val metrics : t -> Metrics.t
+val metrics : t -> Obs.Registry.t
 val context : t -> Session.context
 val live_sessions : t -> int
 

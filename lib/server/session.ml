@@ -76,7 +76,7 @@ type slow_entry = {
 
 type context = {
   db : Nfql.Physical.db;
-  metrics : Metrics.t;
+  metrics : Obs.Registry.t;
   config : config;
   now : unit -> float;
   slow : slow_entry Queue.t;
@@ -109,7 +109,7 @@ type context = {
    scrape of a freshly started (still idle) server already exposes
    them at zero instead of 404-by-omission. *)
 let declare_series m =
-  List.iter (Metrics.declare m)
+  List.iter (Obs.Registry.declare m)
     [
       "queries.total"; "queries.slow"; "connections.accepted";
       "connections.rejected"; "connections.closed"; "connections.reaped";
@@ -126,29 +126,31 @@ let declare_series m =
       "repl.dropped_slow"; "repl.apply_errors"; "repl.upstream_errors";
       "repl.upstream_lost";
     ];
-  Metrics.declare m "loop.stalls_total";
-  Metrics.declare_histogram m "query.seconds";
-  Metrics.declare_histogram m "planner.est_error";
-  Metrics.declare_histogram m "loop.tick.seconds";
-  Metrics.declare_histogram m "obs.scrape.seconds";
-  Metrics.declare_histogram m "wal.flush.seconds";
-  Metrics.declare_histogram m "wal.sync.seconds";
-  Metrics.declare_histogram m "wal.group_commit.batch_size";
-  Metrics.set_gauge m "connections.open" 0.;
-  if Metrics.gauge m "wal.bytes_unsynced" = 0. then
-    Metrics.set_gauge m "wal.bytes_unsynced" 0.;
-  if Metrics.gauge m "txn.active" = 0. then Metrics.set_gauge m "txn.active" 0.;
-  if Metrics.gauge m "cdc.subscribers" = 0. then
-    Metrics.set_gauge m "cdc.subscribers" 0.;
-  if Metrics.gauge m "repl.replicas" = 0. then
-    Metrics.set_gauge m "repl.replicas" 0.;
+  Obs.Registry.declare m "loop.stalls_total";
+  Obs.Registry.declare_histogram m "query.seconds";
+  Obs.Registry.declare_histogram m "planner.est_error";
+  Obs.Registry.declare_histogram m "loop.tick.seconds";
+  Obs.Registry.declare_histogram m "obs.scrape.seconds";
+  Obs.Registry.declare_histogram m "wal.flush.seconds";
+  Obs.Registry.declare_histogram m "wal.sync.seconds";
+  Obs.Registry.declare_histogram m "wal.group_commit.batch_size";
+  Obs.Registry.set_gauge m "connections.open" 0.;
+  if Obs.Registry.gauge m "wal.bytes_unsynced" = 0. then
+    Obs.Registry.set_gauge m "wal.bytes_unsynced" 0.;
+  if Obs.Registry.gauge m "txn.active" = 0. then
+    Obs.Registry.set_gauge m "txn.active" 0.;
+  if Obs.Registry.gauge m "cdc.subscribers" = 0. then
+    Obs.Registry.set_gauge m "cdc.subscribers" 0.;
+  if Obs.Registry.gauge m "repl.replicas" = 0. then
+    Obs.Registry.set_gauge m "repl.replicas" 0.;
   (* Exposed as nf2_replica_lag_seconds — the replica's distance behind
      its primary's emission clock, refreshed per applied entry. *)
-  if Metrics.gauge m "replica.lag_seconds" = 0. then
-    Metrics.set_gauge m "replica.lag_seconds" 0.;
-  if Metrics.gauge m "loop.lag" = 0. then Metrics.set_gauge m "loop.lag" 0.;
-  if Metrics.gauge m "obs.history_series" = 0. then
-    Metrics.set_gauge m "obs.history_series" 0.
+  if Obs.Registry.gauge m "replica.lag_seconds" = 0. then
+    Obs.Registry.set_gauge m "replica.lag_seconds" 0.;
+  if Obs.Registry.gauge m "loop.lag" = 0. then
+    Obs.Registry.set_gauge m "loop.lag" 0.;
+  if Obs.Registry.gauge m "obs.history_series" = 0. then
+    Obs.Registry.set_gauge m "obs.history_series" 0.
 
 (* The [_slow_queries] system table: the in-memory ring as a canonical
    NFR, rebuilt per statement (the ring is small — [slow_log_size]). *)
@@ -225,7 +227,9 @@ let make_context ?(config = default_config) ?metrics ?now db =
     invalid_arg "Session.make_context: scrape_interval must be positive";
   if config.tick_interval <= 0. then
     invalid_arg "Session.make_context: tick_interval must be positive";
-  let metrics = match metrics with Some m -> m | None -> Metrics.create () in
+  let metrics =
+    match metrics with Some m -> m | None -> Obs.Registry.create ()
+  in
   declare_series metrics;
   (* Resizing clears the span ring, so only touch it when the config
      actually asks for a different capacity. *)
@@ -275,9 +279,9 @@ let context_retain ctx = ctx.retain
 let scrape ctx ~now =
   let started = Unix.gettimeofday () in
   let sampled = Hist.History.scrape ctx.hist ctx.metrics ~now in
-  Metrics.observe ctx.metrics "obs.scrape.seconds"
+  Obs.Registry.observe ctx.metrics "obs.scrape.seconds"
     (Unix.gettimeofday () -. started);
-  Metrics.set_gauge ctx.metrics "obs.history_series"
+  Obs.Registry.set_gauge ctx.metrics "obs.history_series"
     (float_of_int (Hist.History.series_count ctx.hist));
   sampled
 
@@ -333,7 +337,7 @@ let slow_entry_json entry =
     ops est
 
 let note_slow ctx entry =
-  Metrics.incr ctx.metrics "queries.slow";
+  Obs.Registry.incr ctx.metrics "queries.slow";
   Queue.push entry ctx.slow;
   while Queue.length ctx.slow > ctx.config.slow_log_size do
     ignore (Queue.pop ctx.slow)
@@ -376,7 +380,7 @@ let render_slow_entry buffer entry =
 
 let metrics_dump ctx =
   let buffer = Buffer.create 512 in
-  Buffer.add_string buffer (Metrics.to_text ctx.metrics);
+  Buffer.add_string buffer (Obs.Registry.to_text ctx.metrics);
   if not (Queue.is_empty ctx.slow) then begin
     Buffer.add_string buffer "slow queries (ring of last, newest last):\n";
     Queue.iter (render_slow_entry buffer) ctx.slow
@@ -448,12 +452,12 @@ let in_txn t = Nfql.Physical.in_txn t.psession
    subscriber gauge must not count dead sessions. *)
 let unsubscribe_all t =
   if t.subs <> [] then begin
-    Metrics.add_gauge t.ctx.metrics "cdc.subscribers"
+    Obs.Registry.add_gauge t.ctx.metrics "cdc.subscribers"
       (-.float_of_int (List.length t.subs));
     t.subs <- []
   end;
   if t.repl_sub then begin
-    Metrics.add_gauge t.ctx.metrics "repl.replicas" (-1.);
+    Obs.Registry.add_gauge t.ctx.metrics "repl.replicas" (-1.);
     t.repl_sub <- false
   end
 
@@ -462,9 +466,9 @@ let close t =
     t.state <- Closed;
     unsubscribe_all t;
     if Nfql.Physical.rollback_if_open t.psession then begin
-      Metrics.incr t.ctx.metrics "txn.auto_rollback";
-      Metrics.incr t.ctx.metrics "txn.abort";
-      Metrics.add_gauge t.ctx.metrics "txn.active" (-1.)
+      Obs.Registry.incr t.ctx.metrics "txn.auto_rollback";
+      Obs.Registry.incr t.ctx.metrics "txn.abort";
+      Obs.Registry.add_gauge t.ctx.metrics "txn.active" (-1.)
     end
   end
 
@@ -483,8 +487,8 @@ let send t message =
       (fun span ->
         Protocol.encode t.staged message;
         Obs.Span.add_bytes span (Buffer.length t.staged - before)));
-  Metrics.incr t.ctx.metrics "frames.out";
-  Metrics.add t.ctx.metrics "bytes.out" (Buffer.length t.staged - before)
+  Obs.Registry.incr t.ctx.metrics "frames.out";
+  Obs.Registry.add t.ctx.metrics "bytes.out" (Buffer.length t.staged - before)
 
 let next_output t =
   if t.pending_pos >= String.length t.pending then begin
@@ -533,9 +537,10 @@ let group_sync ctx sessions =
     (try Nfql.Physical.sync_wal ctx.db
      with
     | Storage.Failpoint.Crashed _ as crash -> raise crash
-    | Storage.Storage_error.Error _ -> Metrics.incr ctx.metrics "wal.sync_errors");
+    | Storage.Storage_error.Error _ ->
+      Obs.Registry.incr ctx.metrics "wal.sync_errors");
     if waiting <> [] then
-      Metrics.observe ctx.metrics "wal.group_commit.batch_size"
+      Obs.Registry.observe ctx.metrics "wal.group_commit.batch_size"
         (float_of_int (List.length waiting));
     List.iter release_held waiting
   end
@@ -570,13 +575,13 @@ let run_query t source =
   in
   match parse source with
   | exception Nfql.Parser.Parse_error (message, offset) ->
-    Metrics.incr ctx.metrics "errors.query";
+    Obs.Registry.incr ctx.metrics "errors.query";
     send t
       (Protocol.Err
          ( Protocol.Query_failed,
            Printf.sprintf "parse error at offset %d: %s" offset message ))
   | exception Nfql.Lexer.Lex_error (message, offset) ->
-    Metrics.incr ctx.metrics "errors.query";
+    Obs.Registry.incr ctx.metrics "errors.query";
     send t
       (Protocol.Err
          ( Protocol.Query_failed,
@@ -588,7 +593,7 @@ let run_query t source =
         send t (Protocol.Done (Printf.sprintf "ok: %d statement(s)" completed))
       | statement :: rest ->
         if ctx.now () > deadline then begin
-          Metrics.incr ctx.metrics "errors.timeout";
+          Obs.Registry.incr ctx.metrics "errors.timeout";
           send t
             (Protocol.Err
                ( Protocol.Timeout,
@@ -598,8 +603,8 @@ let run_query t source =
                    (List.length statements) ))
         end
         else begin
-          Metrics.incr ctx.metrics "queries.total";
-          Metrics.incr ctx.metrics
+          Obs.Registry.incr ctx.metrics "queries.total";
+          Obs.Registry.incr ctx.metrics
             ("queries." ^ Nfql.Ast.statement_verb statement);
           let started = ctx.now () in
           (* Mirror transaction transitions into this server's own
@@ -610,20 +615,20 @@ let run_query t source =
           let note_txn_transition () =
             match (was_in_txn, Nfql.Physical.in_txn t.psession) with
             | false, true ->
-              Metrics.incr ctx.metrics "txn.begin";
-              Metrics.add_gauge ctx.metrics "txn.active" 1.
+              Obs.Registry.incr ctx.metrics "txn.begin";
+              Obs.Registry.add_gauge ctx.metrics "txn.active" 1.
             | true, false ->
               (match statement with
-              | Nfql.Ast.Commit -> Metrics.incr ctx.metrics "txn.commit"
-              | _ -> Metrics.incr ctx.metrics "txn.abort");
-              Metrics.add_gauge ctx.metrics "txn.active" (-1.)
+              | Nfql.Ast.Commit -> Obs.Registry.incr ctx.metrics "txn.commit"
+              | _ -> Obs.Registry.incr ctx.metrics "txn.abort");
+              Obs.Registry.add_gauge ctx.metrics "txn.active" (-1.)
             | _ -> ()
           in
           match Nfql.Physical.exec_session t.psession statement with
           | result, stats ->
             note_txn_transition ();
             let elapsed = ctx.now () -. started in
-            Metrics.observe ctx.metrics "query.seconds" elapsed;
+            Obs.Registry.observe ctx.metrics "query.seconds" elapsed;
             if elapsed > ctx.config.slow_query_s then begin
               let text = Format.asprintf "%a" Nfql.Ast.pp_statement statement in
               note_slow ctx
@@ -643,13 +648,13 @@ let run_query t source =
             send t (reply_of_result result);
             execute (completed + 1) rest
           | exception Nfql.Eval.Eval_error message ->
-            Metrics.incr ctx.metrics "errors.query";
+            Obs.Registry.incr ctx.metrics "errors.query";
             send t (Protocol.Err (Protocol.Query_failed, message))
           | exception Nfql.Physical.Read_only primary ->
             (* Typed refusal: the client should redirect its writes to
                the primary this payload names. The session stays open —
                reads are still welcome here. *)
-            Metrics.incr ctx.metrics "errors.read_only";
+            Obs.Registry.incr ctx.metrics "errors.read_only";
             send t
               (Protocol.Err
                  ( Protocol.Read_only,
@@ -657,13 +662,13 @@ let run_query t source =
           | exception Nfql.Physical.Conflict message ->
             (* The transaction is already rolled back; the typed code
                tells the client a plain retry may succeed. *)
-            Metrics.incr ctx.metrics "txn.conflict";
-            Metrics.incr ctx.metrics "txn.abort";
-            Metrics.add_gauge ctx.metrics "txn.active" (-1.);
-            Metrics.incr ctx.metrics "errors.conflict";
+            Obs.Registry.incr ctx.metrics "txn.conflict";
+            Obs.Registry.incr ctx.metrics "txn.abort";
+            Obs.Registry.add_gauge ctx.metrics "txn.active" (-1.);
+            Obs.Registry.incr ctx.metrics "errors.conflict";
             send t (Protocol.Err (Protocol.Conflict, message))
           | exception Storage.Storage_error.Error err ->
-            Metrics.incr ctx.metrics "errors.query";
+            Obs.Registry.incr ctx.metrics "errors.query";
             send t
               (Protocol.Err
                  (Protocol.Query_failed, Storage.Storage_error.to_string err))
@@ -671,14 +676,14 @@ let run_query t source =
             (* Fault injection simulates process death: let it out. *)
             raise crash
           | exception exn ->
-            Metrics.incr ctx.metrics "errors.query";
+            Obs.Registry.incr ctx.metrics "errors.query";
             send t (Protocol.Err (Protocol.Query_failed, Printexc.to_string exn))
         end
     in
     execute 0 statements
 
 let refuse t code reason =
-  Metrics.incr t.ctx.metrics
+  Obs.Registry.incr t.ctx.metrics
     (match code with
     | Protocol.Shutting_down -> "errors.shutting_down"
     | Protocol.Timeout -> "errors.timeout"
@@ -702,13 +707,13 @@ let handle t message =
     | Protocol.Query source -> run_query t source
     | Protocol.Metrics_req -> send t (Protocol.Metrics (metrics_dump ctx))
     | Protocol.Metrics_prom_req ->
-      send t (Protocol.Metrics_prom (Metrics.to_prometheus ctx.metrics))
+      send t (Protocol.Metrics_prom (Obs.Registry.to_prometheus ctx.metrics))
     | Protocol.Shutdown ->
       ctx.wants_shutdown <- true;
       send t (Protocol.Done "shutting down")
     | Protocol.Subscribe view ->
       if not (Nfql.Physical.is_view ctx.db view) then begin
-        Metrics.incr ctx.metrics "errors.query";
+        Obs.Registry.incr ctx.metrics "errors.query";
         send t
           (Protocol.Err
              (Protocol.Query_failed, Printf.sprintf "unknown view %s" view))
@@ -717,13 +722,13 @@ let handle t message =
         send t (Protocol.Done (Printf.sprintf "already subscribed to %s" view))
       else begin
         t.subs <- view :: t.subs;
-        Metrics.incr ctx.metrics "cdc.subscribe_total";
-        Metrics.add_gauge ctx.metrics "cdc.subscribers" 1.;
+        Obs.Registry.incr ctx.metrics "cdc.subscribe_total";
+        Obs.Registry.add_gauge ctx.metrics "cdc.subscribers" 1.;
         send t (Protocol.Done (Printf.sprintf "subscribed to view %s" view))
       end
     | Protocol.Repl_subscribe ->
       if Nfql.Physical.read_only ctx.db <> None then begin
-        Metrics.incr ctx.metrics "errors.query";
+        Obs.Registry.incr ctx.metrics "errors.query";
         send t
           (Protocol.Err
              ( Protocol.Query_failed,
@@ -734,8 +739,8 @@ let handle t message =
         send t (Protocol.Done "already subscribed to the replication stream")
       else begin
         t.repl_sub <- true;
-        Metrics.incr ctx.metrics "repl.subscribe_total";
-        Metrics.add_gauge ctx.metrics "repl.replicas" 1.;
+        Obs.Registry.incr ctx.metrics "repl.subscribe_total";
+        Obs.Registry.add_gauge ctx.metrics "repl.replicas" 1.;
         send t (Protocol.Done "subscribed to the replication stream");
         (* Full-state bootstrap: no historical log is retained, so the
            stream starts from a synthesized snapshot. Staged here, it
@@ -744,7 +749,7 @@ let handle t message =
            rest of this tick's output. *)
         List.iter
           (fun event ->
-            Metrics.incr ctx.metrics "repl.entries_out";
+            Obs.Registry.incr ctx.metrics "repl.entries_out";
             send t (Protocol.Repl_entry event))
           (Nfql.Physical.repl_bootstrap ctx.db)
       end
@@ -754,7 +759,7 @@ let handle t message =
     | Protocol.Promote -> (
       match Nfql.Physical.read_only ctx.db with
       | None ->
-        Metrics.incr ctx.metrics "errors.query";
+        Obs.Registry.incr ctx.metrics "errors.query";
         send t
           (Protocol.Err
              (Protocol.Query_failed, "not a replica: writes are already open"))
@@ -789,7 +794,7 @@ let deliver_cdc t (event : Views.Catalog.event) =
          would let one slow reader exhaust the server, and silently
          skipping a delta would corrupt its stream (the seq gap is only
          detectable, not recoverable, client-side) — so evict it. *)
-      Metrics.incr t.ctx.metrics "cdc.dropped_slow";
+      Obs.Registry.incr t.ctx.metrics "cdc.dropped_slow";
       unsubscribe_all t;
       refuse t Protocol.Overloaded
         (Printf.sprintf
@@ -797,7 +802,7 @@ let deliver_cdc t (event : Views.Catalog.event) =
            (queued_output_bytes t) t.ctx.config.cdc_max_buffered)
     end
     else begin
-      Metrics.incr t.ctx.metrics "cdc.deltas_out";
+      Obs.Registry.incr t.ctx.metrics "cdc.deltas_out";
       send t
         (Protocol.Delta
            {
@@ -836,7 +841,7 @@ let deliver_repl t event =
          socket would otherwise buffer the primary into the ground, and
          a silently skipped entry would corrupt its state — evict it;
          it can resubscribe and re-bootstrap. *)
-      Metrics.incr t.ctx.metrics "repl.dropped_slow";
+      Obs.Registry.incr t.ctx.metrics "repl.dropped_slow";
       unsubscribe_all t;
       refuse t Protocol.Overloaded
         (Printf.sprintf
@@ -844,7 +849,7 @@ let deliver_repl t event =
            (queued_output_bytes t) t.ctx.config.cdc_max_buffered)
     end
     else begin
-      Metrics.incr t.ctx.metrics "repl.entries_out";
+      Obs.Registry.incr t.ctx.metrics "repl.entries_out";
       send t (Protocol.Repl_entry event)
     end
   end
@@ -887,7 +892,7 @@ let rec parse_frames t =
     with
     | Protocol.Need_more -> ()
     | Protocol.Msg (message, consumed_bytes) ->
-      Metrics.incr t.ctx.metrics "frames.in";
+      Obs.Registry.incr t.ctx.metrics "frames.in";
       consume t consumed_bytes;
       let stage_mark = Buffer.length t.staged in
       (* When tracing is on, every request gets its own trace rooted at
@@ -934,7 +939,7 @@ let feed t buf n =
     ensure_capacity t n;
     Bytes.blit buf 0 t.rbuf t.rlen n;
     t.rlen <- t.rlen + n;
-    Metrics.add t.ctx.metrics "bytes.in" n;
+    Obs.Registry.add t.ctx.metrics "bytes.in" n;
     t.last_activity_at <- t.ctx.now ();
     if t.frame_started_at = None then t.frame_started_at <- Some t.last_activity_at;
     parse_frames t;
@@ -960,7 +965,7 @@ let check_deadlines t ~now =
         (* Idle in transaction: the polite rejection tells the client
            its transaction is gone; the close that follows rolls it
            back. *)
-        Metrics.incr t.ctx.metrics "connections.reaped_in_txn";
+        Obs.Registry.incr t.ctx.metrics "connections.reaped_in_txn";
         refuse t Protocol.Timeout
           (Printf.sprintf
              "idle in transaction longer than %.3fs; transaction rolled back"
@@ -971,7 +976,7 @@ let check_deadlines t ~now =
         now -. t.last_activity_at > t.ctx.config.idle_timeout
         && not (want_write t)
       then begin
-        Metrics.incr t.ctx.metrics "connections.reaped";
+        Obs.Registry.incr t.ctx.metrics "connections.reaped";
         t.state <- Closing;
         `Reap
       end

@@ -92,7 +92,7 @@ type context
 
 val make_context :
   ?config:config ->
-  ?metrics:Metrics.t ->
+  ?metrics:Obs.Registry.t ->
   ?now:(unit -> float) ->
   Nfql.Physical.db ->
   context
@@ -112,7 +112,7 @@ val make_context :
     @raise Invalid_argument when [trace_capacity] or [trace_retain] is
     below 1, or [scrape_interval] / [tick_interval] is not positive. *)
 
-val context_metrics : context -> Metrics.t
+val context_metrics : context -> Obs.Registry.t
 val context_config : context -> config
 
 val context_now : context -> float
@@ -153,7 +153,7 @@ val shutdown_requested : context -> bool
     after feeding. *)
 
 val metrics_dump : context -> string
-(** What a [Metrics_req] answers: {!Metrics.to_text} plus the
+(** What a [Metrics_req] answers: {!Obs.Registry.to_text} plus the
     slow-query log. *)
 
 type t

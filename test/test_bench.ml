@@ -1,6 +1,6 @@
 (* Bench bit-rot guard: the fast report generators run inside the test
    suite and must print their landmark conclusions. The heavyweight
-   sweeps (E7-E10, X1, X3) are exercised by `dune exec bench/main.exe`
+   sweeps (E7, E8, E10, X1, X3) are exercised by `dune exec bench/main.exe`
    and its tee'd outputs; here we pin the cheap, deterministic ones. *)
 
 let capture f =
@@ -59,6 +59,14 @@ let test_e5 () =
 let test_e6 () =
   check_report "E6" Bench_reports.Reports.e6_theorems [ "24"; "passed" ]
 
+let test_e9 () =
+  check_report "E9" Bench_reports.Reports.e9_search_space
+    [ "50 students / NFR"; "200 students / NFR" ]
+
+let test_e9b () =
+  check_report "E9b" Bench_reports.Reports.e9b_operator_breakdown
+    [ "btree-range sc"; "heap-scan sc"; "inlj sc ⋈ rooms" ]
+
 let test_x2 () =
   check_report "X2" Bench_reports.Reports.x2_minimum [ "Example 2 (R3)" ]
 
@@ -84,6 +92,8 @@ let () =
           Alcotest.test_case "E4 example 3" `Quick test_e4;
           Alcotest.test_case "E5 fig 3" `Quick test_e5;
           Alcotest.test_case "E6 theorems" `Quick test_e6;
+          Alcotest.test_case "E9 search space" `Quick test_e9;
+          Alcotest.test_case "E9b operator breakdown" `Quick test_e9b;
           Alcotest.test_case "X2 minimum" `Quick test_x2;
           Alcotest.test_case "X4 recovery" `Quick test_x4;
         ] );

@@ -22,7 +22,7 @@ let schema3 = Schema.strings [ "A"; "B"; "C" ]
 type node = {
   db : Nfql.Physical.db;
   loop : Server.Loop.t;
-  metrics : Server.Metrics.t;
+  metrics : Obs.Registry.t;
 }
 
 let make_node ?(tables = []) () =
@@ -32,7 +32,7 @@ let make_node ?(tables = []) () =
       Nfql.Physical.add_table db name
         (Storage.Table.create ~order:(Schema.attributes schema3) schema3))
     tables;
-  let metrics = Server.Metrics.create () in
+  let metrics = Obs.Registry.create () in
   let loop = Server.Loop.create ~metrics ~db ~listen:(`Port 0) () in
   { db; loop; metrics }
 
@@ -149,9 +149,9 @@ let test_bootstrap () =
   Alcotest.(check bool) "view bootstrapped" true
     (Nfql.Physical.is_view replica.db "tv");
   Alcotest.(check bool) "entries applied" true
-    (Server.Metrics.get replica.metrics "repl.entries_applied" > 0);
+    (Obs.Registry.get replica.metrics "repl.entries_applied" > 0);
   Alcotest.(check bool) "primary counts a replica" true
-    (Server.Metrics.gauge primary.metrics "repl.replicas" = 1.);
+    (Obs.Registry.gauge primary.metrics "repl.replicas" = 1.);
   Alcotest.(check (option string)) "replica names its primary"
     (Some (Printf.sprintf "127.0.0.1:%d" (Server.Loop.port primary.loop)))
     (Server.Loop.replica_of replica.loop);
@@ -178,11 +178,11 @@ let test_live_tail () =
   spin [ primary; replica ];
   check_converged ~msg:"multi-table txn" primary replica [ "t"; "u" ];
   (* A rolled-back transaction ships nothing. *)
-  let out_before = Server.Metrics.get primary.metrics "repl.entries_out" in
+  let out_before = Obs.Registry.get primary.metrics "repl.entries_out" in
   exec primary "begin; insert into t values ('gone', 'gone', 'gone'); rollback";
   spin [ primary; replica ];
   Alcotest.(check int) "rollback ships nothing" out_before
-    (Server.Metrics.get primary.metrics "repl.entries_out");
+    (Obs.Registry.get primary.metrics "repl.entries_out");
   check_converged ~msg:"after rollback" primary replica [ "t"; "u" ];
   (* Updates and deletes ship as write events too. *)
   exec primary "update t set B = 'beta' where A = 'a1'";
@@ -198,8 +198,8 @@ let test_live_tail () =
   (* The lag gauge was refreshed on apply and is scrapeable under the
      acceptance name. *)
   Alcotest.(check bool) "lag gauge non-negative" true
-    (Server.Metrics.gauge replica.metrics "replica.lag_seconds" >= 0.);
-  let prom = Server.Metrics.to_prometheus replica.metrics in
+    (Obs.Registry.gauge replica.metrics "replica.lag_seconds" >= 0.);
+  let prom = Obs.Registry.to_prometheus replica.metrics in
   let contains haystack needle =
     let nl = String.length needle and hl = String.length haystack in
     let rec scan i =
@@ -269,7 +269,7 @@ let test_victim_kill () =
   let survivor = attach_replica primary in
   spin [ primary; victim; survivor ];
   Alcotest.(check bool) "two replicas subscribed" true
-    (Server.Metrics.gauge primary.metrics "repl.replicas" = 2.);
+    (Obs.Registry.gauge primary.metrics "repl.replicas" = 2.);
   (* Kill one replica mid-stream, with traffic in flight. *)
   exec primary "insert into t values ('mid1', 'b', 'c')";
   Server.Loop.close victim.loop;
@@ -280,7 +280,7 @@ let test_victim_kill () =
      converged on everything. *)
   check_converged ~msg:"survivor" primary survivor [ "t" ];
   Alcotest.(check bool) "victim evicted" true
-    (Server.Metrics.gauge primary.metrics "repl.replicas" = 1.);
+    (Obs.Registry.gauge primary.metrics "repl.replicas" = 1.);
   shutdown_nodes [ primary; survivor ]
 
 (* Losing the PRIMARY mid-stream: the replica stays up, read-only,
@@ -295,7 +295,7 @@ let test_primary_loss () =
   Server.Loop.close primary.loop;
   spin [ replica ];
   Alcotest.(check bool) "upstream loss counted" true
-    (Server.Metrics.get replica.metrics "repl.upstream_lost" = 1);
+    (Obs.Registry.get replica.metrics "repl.upstream_lost" = 1);
   Alcotest.(check string) "replica still serves its last state" frozen
     (table_string replica "t");
   Alcotest.(check bool) "still read-only" true

@@ -234,52 +234,53 @@ let test_rows_round_trip_property () =
        (arbitrary_relation_with_order ()) prop)
 
 (* ------------------------------------------------------------------ *)
-(* Metrics registry                                                    *)
+(* Obs.Registry: the checks test_obs does not make                    *)
 (* ------------------------------------------------------------------ *)
 
-let test_metrics_counters () =
-  let m = Server.Metrics.create () in
-  Server.Metrics.incr m "a";
-  Server.Metrics.incr m "a";
-  Server.Metrics.add m "b" 40;
-  Alcotest.(check int) "a" 2 (Server.Metrics.get m "a");
-  Alcotest.(check int) "b" 40 (Server.Metrics.get m "b");
-  Alcotest.(check int) "absent" 0 (Server.Metrics.get m "zzz");
+let test_registry_counters () =
+  let m = Obs.Registry.create () in
+  Obs.Registry.incr m "a";
+  Obs.Registry.incr m "a";
+  Obs.Registry.add m "b" 40;
+  Alcotest.(check int) "a" 2 (Obs.Registry.get m "a");
+  Alcotest.(check int) "b" 40 (Obs.Registry.get m "b");
+  Alcotest.(check int) "absent" 0 (Obs.Registry.get m "zzz");
   Alcotest.(check bool)
     "text dump lists counters" true
-    (String.split_on_char '\n' (Server.Metrics.to_text m)
+    (String.split_on_char '\n' (Obs.Registry.to_text m)
     |> List.exists (fun l -> l = "a 2"));
-  Server.Metrics.reset m;
-  Alcotest.(check int) "reset" 0 (Server.Metrics.get m "a")
+  Obs.Registry.reset m;
+  Alcotest.(check int) "reset" 0 (Obs.Registry.get m "a")
 
-let test_metrics_histogram () =
-  let m = Server.Metrics.create () in
+let test_registry_histogram () =
+  let m = Obs.Registry.create () in
   for i = 1 to 100 do
-    Server.Metrics.observe m "lat" (float_of_int i /. 1000.)
+    Obs.Registry.observe m "lat" (float_of_int i /. 1000.)
   done;
-  match Server.Metrics.summarize m "lat" with
+  match Obs.Registry.summarize m "lat" with
   | None -> Alcotest.fail "no summary"
   | Some s ->
-    Alcotest.(check int) "count" 100 s.Server.Metrics.count;
-    Alcotest.(check bool) "max exact" true (abs_float (s.Server.Metrics.max -. 0.1) < 1e-9);
+    Alcotest.(check int) "count" 100 s.Obs.Registry.count;
+    Alcotest.(check bool) "max exact" true
+      (abs_float (s.Obs.Registry.max -. 0.1) < 1e-9);
     (* Bucketed quantiles are upper bounds within a 2x bucket. *)
     Alcotest.(check bool)
       "p50 in range" true
-      (s.Server.Metrics.p50 >= 0.05 && s.Server.Metrics.p50 <= 0.128);
+      (s.Obs.Registry.p50 >= 0.05 && s.Obs.Registry.p50 <= 0.128);
     Alcotest.(check bool)
       "ordering" true
-      (s.Server.Metrics.p50 <= s.Server.Metrics.p95
-      && s.Server.Metrics.p95 <= s.Server.Metrics.p99
-      && s.Server.Metrics.p99 <= s.Server.Metrics.max +. 1e-9);
+      (s.Obs.Registry.p50 <= s.Obs.Registry.p95
+      && s.Obs.Registry.p95 <= s.Obs.Registry.p99
+      && s.Obs.Registry.p99 <= s.Obs.Registry.max +. 1e-9);
     Alcotest.(check bool)
       "json has histogram" true
-      (contains_substring (Server.Metrics.to_json m) "\"lat\":{\"count\":100")
+      (contains_substring (Obs.Registry.to_json m) "\"lat\":{\"count\":100")
 
-let test_metrics_quantile () =
+let test_registry_quantile () =
   let samples = [ 5.; 1.; 3.; 2.; 4. ] in
-  Alcotest.(check (float 1e-9)) "p50" 3. (Server.Metrics.quantile samples 0.5);
-  Alcotest.(check (float 1e-9)) "p99" 5. (Server.Metrics.quantile samples 0.99);
-  Alcotest.(check (float 1e-9)) "empty" 0. (Server.Metrics.quantile [] 0.5)
+  Alcotest.(check (float 1e-9)) "p50" 3. (Obs.Registry.quantile samples 0.5);
+  Alcotest.(check (float 1e-9)) "p99" 5. (Obs.Registry.quantile samples 0.99);
+  Alcotest.(check (float 1e-9)) "empty" 0. (Obs.Registry.quantile [] 0.5)
 
 (* ------------------------------------------------------------------ *)
 (* Step-driven loop harness                                            *)
@@ -577,7 +578,7 @@ let test_loop_idle_reap () =
           done;
           Alcotest.(check int) "reaped" 0 (Server.Loop.live_sessions loop);
           Alcotest.(check int) "counted" 1
-            (Server.Metrics.get (Server.Loop.metrics loop) "connections.reaped")))
+            (Obs.Registry.get (Server.Loop.metrics loop) "connections.reaped")))
 
 let test_loop_overload () =
   let config = config_with ~max_connections:2 () in
@@ -597,7 +598,7 @@ let test_loop_overload () =
               (P.message_name other));
           Alcotest.(check bool) "third closed" true (rc_recv loop rc3 = None);
           Alcotest.(check int) "rejection counted" 1
-            (Server.Metrics.get (Server.Loop.metrics loop)
+            (Obs.Registry.get (Server.Loop.metrics loop)
                "connections.rejected");
           (* The two admitted sessions still serve. *)
           ignore (expect_rows (rc_query loop rc1 "select * from t"))))
@@ -923,7 +924,7 @@ let test_txn_idle_in_txn_reaped () =
           Alcotest.(check int) "session reaped" 0
             (Server.Loop.live_sessions loop);
           Alcotest.(check int) "counted as in-txn reap" 1
-            (Server.Metrics.get (Server.Loop.metrics loop)
+            (Obs.Registry.get (Server.Loop.metrics loop)
                "connections.reaped_in_txn"));
       (* The rolled-back write is gone for the next client. *)
       let rc2 = rc_connect loop in
@@ -962,19 +963,19 @@ let test_loop_stall_watchdog () =
       clock := !clock +. (tick /. 2.);
       ignore (Server.Loop.step loop 0.002);
       Alcotest.(check int) "half-interval tick is not a stall" 0
-        (Server.Metrics.get m "loop.stalls_total");
+        (Obs.Registry.get m "loop.stalls_total");
       Alcotest.(check (float 1e-9)) "no lag" 0.
-        (Server.Metrics.gauge m "loop.lag");
+        (Obs.Registry.gauge m "loop.lag");
       clock := !clock +. (3. *. tick);
       ignore (Server.Loop.step loop 0.002);
       Alcotest.(check int) "3x-interval tick is a stall" 1
-        (Server.Metrics.get m "loop.stalls_total");
+        (Obs.Registry.get m "loop.stalls_total");
       Alcotest.(check bool) "lag gauge shows the overshoot" true
-        (Server.Metrics.gauge m "loop.lag" > tick);
+        (Obs.Registry.gauge m "loop.lag" > tick);
       clock := !clock +. tick;
       ignore (Server.Loop.step loop 0.002);
       Alcotest.(check int) "recovery tick adds no stall" 1
-        (Server.Metrics.get m "loop.stalls_total"))
+        (Obs.Registry.get m "loop.stalls_total"))
 
 (* With the threshold at zero every statement is slow: the JSON-lines
    sink must receive one parseable-looking object per statement, and
@@ -1091,10 +1092,10 @@ let () =
         ] );
       ( "metrics",
         [
-          Alcotest.test_case "counters" `Quick test_metrics_counters;
+          Alcotest.test_case "counters" `Quick test_registry_counters;
           Alcotest.test_case "histogram summaries" `Quick
-            test_metrics_histogram;
-          Alcotest.test_case "exact quantiles" `Quick test_metrics_quantile;
+            test_registry_histogram;
+          Alcotest.test_case "exact quantiles" `Quick test_registry_quantile;
         ] );
       ( "session",
         [
